@@ -60,7 +60,16 @@ class VarianceComponents:
 
 
 def _sorted_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(block, axis=1, kind="stable")
+    """Sort each row, returning the sorted rows and the sort permutation.
+
+    The permutation comes from the default (unstable, vectorized) argsort, so
+    tied values may come out in any order. Callers only scatter potentials
+    back through it, and tied source points always get equal potentials:
+    the convex part grows by slope * (s_(i+1) - s_(i)) = 0 across a tie, and
+    the quadratic part is equal too. The scattered result therefore does not
+    depend on how ties are ordered.
+    """
+    order = np.argsort(block, axis=1)
     return np.take_along_axis(block, order, axis=1), order
 
 
@@ -69,8 +78,8 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     px = dir_rows @ X.data.T
     py = dir_rows @ Y.data.T
     if not want_potentials:
-        # no permutation needed, and plain sort is several times cheaper
-        # than a stable argsort plus gather
+        # costs depend on the sorted values alone, so skip the permutation
+        # and its gather
         costs = wasserstein_pp_batch(np.sort(px, axis=1),
                                      np.sort(py, axis=1), p)
         return costs, None, None

@@ -101,9 +101,13 @@ def coupling_cells(n: int, m: int) -> list[CouplingCell]:
 
 
 def _pow_cost(diff: np.ndarray, p: float) -> np.ndarray:
+    """|diff|^p, computed in place in ``diff``, which is returned."""
     if p == 2.0:
-        return diff * diff
-    return np.abs(diff) ** p
+        diff *= diff
+    else:
+        np.abs(diff, out=diff)
+        diff **= p
+    return diff
 
 
 def _check_p(p: float) -> float:
@@ -141,7 +145,14 @@ def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float) -> np.ndarray:
     """
     p = _check_p(p)
     i0, j0, mass = _cell_arrays(S.shape[1], T.shape[1])
-    return _pow_cost(S[:, i0] - T[:, j0], p) @ mass
+    # Fortran order, as a fancy-index gather gives, keeps ``@ mass`` on one
+    # BLAS path for every shape; another layout changes the last bits
+    if S.shape[1] == T.shape[1]:
+        diff = np.subtract(S, T, order="F")
+    else:
+        diff = S[:, i0]
+        diff -= T[:, j0]
+    return _pow_cost(diff, p) @ mass
 
 
 def quantile(s: SortedProjection, u: float) -> float:

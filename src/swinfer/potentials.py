@@ -90,11 +90,20 @@ def potential_values_batch(S: np.ndarray, T: np.ndarray) -> np.ndarray:
     k, n = S.shape
     if n == 1:
         return S ** 2
-    r = row_assignment(n, T.shape[1])
+    m = T.shape[1]
+    # r(i) = i when m == n, so the slopes are a view and need no gather.
+    # ``take`` gathers in C order; a fancy index would give Fortran order,
+    # and the mixed-layout multiply below runs about twice as slow.
+    slopes = T[:, :-1] if m == n else T.take(row_assignment(n, m)[:-1] - 1, axis=1)
     conv = np.empty((k, n))
     conv[:, 0] = 0.0
-    np.cumsum(T[:, r[:-1] - 1] * np.diff(S, axis=1), axis=1, out=conv[:, 1:])
-    return S ** 2 - 2.0 * conv
+    np.subtract(S[:, 1:], S[:, :-1], out=conv[:, 1:])
+    conv[:, 1:] *= slopes
+    np.cumsum(conv[:, 1:], axis=1, out=conv[:, 1:])
+    # s^2 - 2c, computed as s^2 + (-2)c: scaling by -2 is exact
+    conv *= -2.0
+    conv += S * S
+    return conv
 
 
 def _c_conjugate_sorted(phi_at_s: np.ndarray, svals: np.ndarray,

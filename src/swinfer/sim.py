@@ -70,7 +70,11 @@ class SimulationPlan:
 
 @dataclass(frozen=True, eq=False)
 class CellResult:
-    """Outcome of one (k, h) cell."""
+    """Outcome of one (k, h) cell.
+
+    ``replications[i]`` is the replication index that produced
+    ``statistics[i]``; excluded replications appear in neither.
+    """
 
     k: int
     h: float
@@ -79,6 +83,7 @@ class CellResult:
     hist_edges: np.ndarray
     hist_counts: np.ndarray
     excluded: int
+    replications: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +169,9 @@ def run_plan(plan: SimulationPlan, threads: int = 1,
     cells = []
     for ci, (k, h) in enumerate(plan.cells):
         block = outcomes[ci * plan.replications:(ci + 1) * plan.replications]
-        stats = np.asarray([t for t in block if t is not None], dtype=np.float64)
+        kept = np.asarray([ri for ri, t in enumerate(block) if t is not None],
+                          dtype=np.int64)
+        stats = np.asarray([block[ri] for ri in kept], dtype=np.float64)
         excluded = plan.replications - stats.size
         if stats.size:
             rate = float(np.mean(np.abs(stats) > q))
@@ -174,7 +181,8 @@ def run_plan(plan: SimulationPlan, threads: int = 1,
             edges, counts = np.zeros(1), np.zeros(0, dtype=np.int64)
         cells.append(CellResult(k=k, h=h, statistics=stats,
                                 rejection_rate=rate, hist_edges=edges,
-                                hist_counts=counts, excluded=excluded))
+                                hist_counts=counts, excluded=excluded,
+                                replications=kept))
     return SimulationResult(plan=plan, cells=cells)
 
 
@@ -183,7 +191,7 @@ def result_csv_text(result: SimulationResult) -> str:
     q = float(ndtri(0.5 + 0.5 * result.plan.level))
     lines = ["k,h,replication,statistic,reject"]
     for cell in result.cells:
-        for ri, t in enumerate(cell.statistics):
+        for ri, t in zip(cell.replications, cell.statistics):
             flag = int(abs(t) > q)
             lines.append(f"{cell.k},{format_float(cell.h)},{ri},"
                          f"{format_float(t)},{flag}")

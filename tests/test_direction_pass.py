@@ -1,0 +1,134 @@
+"""Bit-identity of the direction-pass kernels against their reference forms.
+
+The batch kernels build their intermediates in place, and the pass sorts
+with an unstable argsort. Each test here compares the production code with
+the plain expressions it replaces using exact equality, on inputs chosen to
+stress ties: rounded data, duplicated rows, both signed zeros and
+axis-aligned directions.
+"""
+
+import numpy as np
+import pytest
+from numpy.testing import assert_array_equal
+
+from swinfer.estimators import _CHUNK, _direction_pass
+from swinfer.geometry import DirectionSet, as_sample_matrix
+from swinfer.ot1d import _cell_arrays, wasserstein_pp_batch
+from swinfer.potentials import potential_values_batch, row_assignment
+
+# single points, n == m, n > m and n < m, small and large
+SHAPES = [(1, 1), (1, 4), (7, 7), (7, 3), (3, 7), (300, 300), (300, 200)]
+
+
+def assert_same_bits(got, want):
+    """Exact equality that also tells 0.0 from -0.0."""
+    assert_array_equal(got, want)
+    assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+def reference_cost(S, T, p):
+    i0, j0, mass = _cell_arrays(S.shape[1], T.shape[1])
+    diff = S[:, i0] - T[:, j0]
+    cost = diff * diff if p == 2.0 else np.abs(diff) ** p
+    return cost @ mass
+
+
+def reference_potentials(S, T):
+    k, n = S.shape
+    if n == 1:
+        return S ** 2
+    r = row_assignment(n, T.shape[1])
+    conv = np.empty((k, n))
+    conv[:, 0] = 0.0
+    np.cumsum(T[:, r[:-1] - 1] * np.diff(S, axis=1), axis=1, out=conv[:, 1:])
+    return S ** 2 - 2.0 * conv
+
+
+def reference_pass(X, Y, dirs, p):
+    """The direction pass with a stable argsort and the reference kernels,
+    reduced over the same chunks in the same order."""
+    k = dirs.k
+    per_direction = np.empty(k)
+    g_x = np.zeros(X.n)
+    g_y = np.zeros(Y.n)
+    for lo in range(0, k, _CHUNK):
+        rows = dirs.dirs[lo:lo + _CHUNK]
+        px = rows @ X.data.T
+        py = rows @ Y.data.T
+        ox = np.argsort(px, axis=1, kind="stable")
+        oy = np.argsort(py, axis=1, kind="stable")
+        sx = np.take_along_axis(px, ox, axis=1)
+        sy = np.take_along_axis(py, oy, axis=1)
+        per_direction[lo:lo + rows.shape[0]] = reference_cost(sx, sy, p)
+        for g, s, t, order in ((g_x, sx, sy, ox), (g_y, sy, sx, oy)):
+            buf = np.empty_like(s)
+            np.put_along_axis(buf, order, reference_potentials(s, t), axis=1)
+            g += buf.sum(axis=0)
+    return per_direction, g_x / k, g_y / k
+
+
+def sorted_stack(rng, k, n, decimals):
+    S = np.sort(np.round(rng.normal(0.0, 2.0, (k, n)), decimals), axis=1)
+    zeros = S == 0.0
+    S[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return S
+
+
+def tie_heavy_sample(rng, n, d):
+    """Rounded data with duplicated rows and entries of both signed zeros."""
+    base = rng.normal(0.0, 1.0, (n, d))
+    base[:, 0] = np.round(base[:, 0])
+    base[:, 1:] = np.round(base[:, 1:], 1)
+    half = n // 2
+    base[half:] = base[rng.integers(0, half, n - half)]
+    zeros = rng.random((n, d)) < 0.15
+    base[zeros] = np.where(rng.random((n, d)) < 0.5, 0.0, -0.0)[zeros]
+    return as_sample_matrix(base)
+
+
+def tie_heavy_directions(rng, d, k):
+    axes = np.concatenate((np.eye(d), -np.eye(d)))
+    z = rng.normal(size=(k - axes.shape[0], d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    rows = np.concatenate((axes, z))[rng.permutation(k)]
+    return DirectionSet(dirs=rows, k=k, seed=0, stream_id=0)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_cost_kernel_matches_reference_bitwise(n, m, p):
+    rng = np.random.default_rng(1000 * n + m)
+    S = sorted_stack(rng, 9, n, 1)
+    T = sorted_stack(rng, 9, m, 0)
+    S0, T0 = S.copy(), T.copy()
+    got = wasserstein_pp_batch(S, T, p)
+    assert_array_equal(S, S0)
+    assert_array_equal(T, T0)
+    assert_same_bits(got, reference_cost(S, T, p))
+
+
+@pytest.mark.parametrize("n,m", SHAPES)
+def test_potential_kernel_matches_reference_bitwise(n, m):
+    rng = np.random.default_rng(1000 * n + m + 7)
+    S = sorted_stack(rng, 9, n, 0)
+    T = sorted_stack(rng, 9, m, 1)
+    S0, T0 = S.copy(), T.copy()
+    got = potential_values_batch(S, T)
+    assert_array_equal(S, S0)
+    assert_array_equal(T, T0)
+    assert_same_bits(got, reference_potentials(S, T))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n,m", [(60, 60), (70, 45), (45, 70)])
+def test_tie_heavy_pass_matches_stable_reference(n, m, threads):
+    rng = np.random.default_rng(n * m)
+    d = 4
+    X = tie_heavy_sample(rng, n, d)
+    Y = tie_heavy_sample(rng, m, d)
+    dirs = tie_heavy_directions(rng, d, _CHUNK + 40)
+    want = reference_pass(X, Y, dirs, 2.0)
+    got = _direction_pass(X, Y, dirs, 2.0, want_costs=True,
+                          want_potentials=True, threads=threads)
+    for g, w in zip(got, want):
+        assert_same_bits(g, w)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import swinfer.sim as sim
 from swinfer.sim import (SimulationPlan, _replication_streams, histogram,
                          result_csv_text, result_json_text, run_plan)
 
@@ -161,3 +162,22 @@ def test_json_text_parses_and_echoes_plan():
 def test_run_plan_requires_quadratic_cost():
     with pytest.raises(ValueError):
         run_plan(tiny_plan(p=1.5))
+
+
+def test_csv_keeps_replication_indices_after_exclusion(monkeypatch):
+    real = sim._one_replication
+
+    def drop_rep_1(plan, ci, ri, k, h):
+        return None if ri == 1 else real(plan, ci, ri, k, h)
+
+    plan = tiny_plan(replications=4)
+    full = run_plan(plan)
+    monkeypatch.setattr(sim, "_one_replication", drop_rep_1)
+    result = run_plan(plan)
+    cell = result.cells[0]
+    assert cell.excluded == 1
+    assert cell.replications.tolist() == [0, 2, 3]
+    rows = result_csv_text(result).splitlines()[1:]
+    assert [int(r.split(",")[2]) for r in rows] == [0, 2, 3]
+    full_rows = result_csv_text(full).splitlines()[1:]
+    assert rows == [full_rows[i] for i in (0, 2, 3)]
