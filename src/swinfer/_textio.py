@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import urllib.parse
+import warnings
 
 import numpy as np
 
@@ -57,11 +60,60 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+# suffixes numpy's DataSource opens through a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _loadtxt_reads_plain(path: str) -> bool:
+    """Whether ``np.loadtxt(path)`` would read this very file as plain text.
+
+    numpy opens string paths through its DataSource, which downloads URLs,
+    decompresses by suffix and, for a missing path, tries ``path + ".gz"``
+    and the like. The line loop does none of that, so such paths skip the C
+    reader.
+    """
+    url = urllib.parse.urlparse(path)
+    return (not (url.scheme and url.netloc)
+            and not path.lower().endswith(_COMPRESSED_SUFFIXES)
+            and os.path.exists(path))
+
+
 def read_matrix_csv(path: str) -> np.ndarray:
     """Parse a headerless CSV of floats, one observation per row.
 
-    Raises InputError with the offending line number on any malformed row
-    or inconsistent column count.
+    The file is first handed to numpy's C reader (``np.loadtxt``, no comment
+    character, warnings silenced). Its result is kept only if the call
+    succeeds, yields at least one row and every value is finite. In every
+    other case (a parse, decode or open error, an empty result, a non-finite
+    value, or a path numpy would not open as this plain file) the strict
+    line loop :func:`_read_matrix_csv_strict` parses the file again.
+
+    Both readers convert a token to the same correctly rounded double, and
+    the loop also takes what only ``float`` accepts (whitespace-only lines,
+    ``1_0``, Unicode digits). So every input yields the same array, bit for
+    bit, or the same InputError, with the offending line number, as the loop
+    alone would; ``tests/test_textio.py`` checks this property.
+    """
+    path = os.fspath(path)
+    if _loadtxt_reads_plain(path):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                data = np.loadtxt(path, delimiter=",", dtype=np.float64,
+                                  comments=None, ndmin=2, encoding="utf-8")
+        except (ValueError, OSError):
+            pass
+        else:
+            if data.shape[0] and np.isfinite(data).all():
+                return data
+    return _read_matrix_csv_strict(path)
+
+
+def _read_matrix_csv_strict(path: str) -> np.ndarray:
+    """Parse line by line with ``float``; InputError names the bad line.
+
+    Blank and whitespace-only lines are skipped; every other line must hold
+    the same number of finite, comma-separated floats.
     """
     rows: list[list[float]] = []
     width = None

@@ -79,12 +79,13 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     py = dir_rows @ Y.data.T
     if not want_potentials:
         # costs depend on the sorted values alone, so skip the permutation
-        # and its gather
-        costs = wasserstein_pp_batch(np.sort(px, axis=1),
-                                     np.sort(py, axis=1), p)
-        return costs, None, None
+        # and its gather; the projections are this chunk's own, sort in place
+        px.sort(axis=1)
+        py.sort(axis=1)
+        return wasserstein_pp_batch(px, py, p), None, None
     sx, ox = _sorted_rows(px)
     sy, oy = _sorted_rows(py)
+    del px, py  # free the unsorted projections before the potentials
     costs = wasserstein_pp_batch(sx, sy, p) if want_costs else None
     phx = potential_values_batch(sx, sy)
     buf = np.empty_like(phx)

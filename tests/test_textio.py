@@ -1,13 +1,15 @@
+import gzip
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swinfer._textio import (InputError, dump_json, format_float,
-                             read_matrix_csv, write_text)
+from swinfer import _textio
+from swinfer._textio import (InputError, _read_matrix_csv_strict, dump_json,
+                             format_float, read_matrix_csv, write_text)
 
 
 def test_format_float_examples():
@@ -82,16 +84,132 @@ def test_read_matrix_csv_rejects_ragged_rows(tmp_path):
 
 def test_read_matrix_csv_rejects_non_finite(tmp_path):
     path = tmp_path / "inf.csv"
-    path.write_text("1,2\ninf,4\n")
-    with pytest.raises(InputError):
-        read_matrix_csv(str(path))
+    for token in ("inf", "1e400"):
+        path.write_text(f"1,2\n{token},4\n")
+        with pytest.raises(InputError, match=r":2: non-finite"):
+            read_matrix_csv(str(path))
 
 
 def test_read_matrix_csv_rejects_empty(tmp_path):
     path = tmp_path / "empty.csv"
-    path.write_text("")
-    with pytest.raises(InputError):
-        read_matrix_csv(str(path))
+    for text in ("", " \n\t\n  "):
+        path.write_text(text)
+        with pytest.raises(InputError, match="no data rows"):
+            read_matrix_csv(str(path))
+
+
+def _write(tmp_path, text, name="m.csv"):
+    path = tmp_path / name
+    path.write_bytes(text.encode("utf-8"))
+    return str(path)
+
+
+def test_read_matrix_csv_valid_file_skips_line_loop(tmp_path, monkeypatch):
+    def refuse(path):
+        raise AssertionError("line loop used on a file the C reader parses")
+
+    monkeypatch.setattr(_textio, "_read_matrix_csv_strict", refuse)
+    path = _write(tmp_path, "1.5,-2\r\n3e-3,4\r\n\n0.1,1e308\r\n")
+    np.testing.assert_array_equal(
+        read_matrix_csv(path), [[1.5, -2.0], [3e-3, 4.0], [0.1, 1e308]])
+
+
+@pytest.mark.parametrize("text", ["1,2\n  \t\n3,4\n", "1,2\n3,4\n \n  "],
+                         ids=["middle", "eof"])
+def test_read_matrix_csv_accepts_whitespace_only_lines(tmp_path, text):
+    got = read_matrix_csv(_write(tmp_path, text))
+    np.testing.assert_array_equal(got, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_read_matrix_csv_accepts_underscore_digits(tmp_path):
+    got = read_matrix_csv(_write(tmp_path, "1_0,2\n3,4\n"))
+    np.testing.assert_array_equal(got, [[10.0, 2.0], [3.0, 4.0]])
+
+
+def test_read_matrix_csv_missing_path(tmp_path):
+    with pytest.raises(InputError, match="cannot open"):
+        read_matrix_csv(str(tmp_path / "absent.csv"))
+
+
+@pytest.mark.parametrize("text, line", [("\ufeff1,2\n3,4\n", 1),
+                                        ("1,2\n#x\n3,4\n", 2)],
+                         ids=["bom", "comment"])
+def test_read_matrix_csv_rejects_bom_and_comment(tmp_path, text, line):
+    with pytest.raises(InputError, match=rf":{line}: not a float row"):
+        read_matrix_csv(_write(tmp_path, text))
+
+
+def test_read_matrix_csv_one_row_and_one_column(tmp_path):
+    assert read_matrix_csv(_write(tmp_path, "1,2,3\n")).shape == (1, 3)
+    assert read_matrix_csv(_write(tmp_path, "1\n2\n3\n", "c.csv")).shape == (3, 1)
+
+
+def test_read_matrix_csv_reads_compressed_suffix_as_text(tmp_path):
+    # numpy would decompress by suffix and try "<path>.gz" for a missing path
+    packed = tmp_path / "m.csv.gz"
+    with gzip.open(packed, "wt") as handle:
+        handle.write("1,2\n3,4\n")
+    with pytest.raises(UnicodeDecodeError):
+        read_matrix_csv(str(packed))
+    with pytest.raises(InputError, match="cannot open"):
+        read_matrix_csv(str(tmp_path / "m.csv"))
+
+
+_FORMATS = (repr, lambda v: "%.17g" % v, lambda v: "%.3e" % v)
+_BAD_TOKENS = ("nan", "inf", "1e400", "1_0", "", "#x")
+_SPACE = st.sampled_from(["", " ", "\t", "  "])
+
+
+@st.composite
+def _csv_texts(draw):
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    for _ in range(n):
+        if draw(st.booleans()):
+            lines.extend(draw(st.lists(st.sampled_from(["", " ", "\t \t"]),
+                                       max_size=2)))
+        fields = []
+        for _ in range(d):
+            value = draw(st.floats(allow_nan=False, allow_infinity=False))
+            text = draw(st.sampled_from(_FORMATS))(value)
+            fields.append(draw(_SPACE) + text + draw(_SPACE))
+        lines.append(fields)
+    rows = [i for i, line in enumerate(lines) if isinstance(line, list)]
+    bad = draw(st.sampled_from((None, "bom", "column") + _BAD_TOKENS))
+    if bad == "column":
+        lines[draw(st.sampled_from(rows))].append("1")
+    elif bad is not None and bad != "bom":
+        row = lines[draw(st.sampled_from(rows))]
+        row[draw(st.integers(0, d - 1))] = bad
+    text = newline.join(",".join(line) if isinstance(line, list) else line
+                        for line in lines)
+    if draw(st.booleans()):
+        text += newline
+    return ("\ufeff" if bad == "bom" else "") + text
+
+
+def _outcome(parse, path):
+    try:
+        return parse(path)
+    except InputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts())
+def test_read_matrix_csv_matches_line_loop(tmp_path_factory, text):
+    path = _write(tmp_path_factory.mktemp("csv"), text)
+    fast = _outcome(read_matrix_csv, path)
+    strict = _outcome(_read_matrix_csv_strict, path)
+    if isinstance(strict, str):
+        assert fast == strict
+    else:
+        assert isinstance(fast, np.ndarray) and fast.dtype == np.float64
+        assert fast.shape == strict.shape
+        np.testing.assert_array_equal(fast.view(np.uint64),
+                                      strict.view(np.uint64))
 
 
 def test_write_text_round_trip(tmp_path):
