@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import urllib.parse
 import warnings
 
 import numpy as np
@@ -60,33 +59,17 @@ def dump_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-# suffixes numpy's DataSource opens through a decompressor
-_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
-
-
-def _loadtxt_reads_plain(path: str) -> bool:
-    """Whether ``np.loadtxt(path)`` would read this very file as plain text.
-
-    numpy opens string paths through its DataSource, which downloads URLs,
-    decompresses by suffix and, for a missing path, tries ``path + ".gz"``
-    and the like. The line loop does none of that, so such paths skip the C
-    reader.
-    """
-    url = urllib.parse.urlparse(path)
-    return (not (url.scheme and url.netloc)
-            and not path.lower().endswith(_COMPRESSED_SUFFIXES)
-            and os.path.exists(path))
-
-
 def read_matrix_csv(path: str) -> np.ndarray:
     """Parse a headerless CSV of floats, one observation per row.
 
-    The file is first handed to numpy's C reader (``np.loadtxt``, no comment
-    character, warnings silenced). Its result is kept only if the call
-    succeeds, yields at least one row and every value is finite. In every
-    other case (a parse, decode or open error, an empty result, a non-finite
-    value, or a path numpy would not open as this plain file) the strict
-    line loop :func:`_read_matrix_csv_strict` parses the file again.
+    A regular file is first handed, as an open text handle, to numpy's C
+    reader (``np.loadtxt``, no comment character, warnings silenced). Its
+    result is kept only if the call succeeds, yields at least one row and
+    every value is finite. In every other case (a parse, decode or open
+    error, an empty result or a non-finite value) the strict line loop
+    :func:`_read_matrix_csv_strict` parses the file again. A path that is not
+    a regular file, such as a pipe, which can be read only once, goes to the
+    loop alone.
 
     Both readers convert a token to the same correctly rounded double, and
     the loop also takes what only ``float`` accepts (whitespace-only lines,
@@ -95,12 +78,13 @@ def read_matrix_csv(path: str) -> np.ndarray:
     alone would; ``tests/test_textio.py`` checks this property.
     """
     path = os.fspath(path)
-    if _loadtxt_reads_plain(path):
+    if os.path.isfile(path):
         try:
-            with warnings.catch_warnings():
+            with open(path, "r", encoding="utf-8") as handle, \
+                    warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                data = np.loadtxt(path, delimiter=",", dtype=np.float64,
-                                  comments=None, ndmin=2, encoding="utf-8")
+                data = np.loadtxt(handle, delimiter=",", dtype=np.float64,
+                                  comments=None, ndmin=2)
         except (ValueError, OSError):
             pass
         else:

@@ -1,6 +1,8 @@
 import gzip
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -145,7 +147,8 @@ def test_read_matrix_csv_one_row_and_one_column(tmp_path):
 
 
 def test_read_matrix_csv_reads_compressed_suffix_as_text(tmp_path):
-    # numpy would decompress by suffix and try "<path>.gz" for a missing path
+    # np.loadtxt given a path string would decompress by suffix and try
+    # "<path>.gz" for a missing path; the reader must do neither
     packed = tmp_path / "m.csv.gz"
     with gzip.open(packed, "wt") as handle:
         handle.write("1,2\n3,4\n")
@@ -153,6 +156,48 @@ def test_read_matrix_csv_reads_compressed_suffix_as_text(tmp_path):
         read_matrix_csv(str(packed))
     with pytest.raises(InputError, match="cannot open"):
         read_matrix_csv(str(tmp_path / "m.csv"))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_read_matrix_csv_reads_a_pipe_once(tmp_path):
+    # A pipe cannot be reread, so it must go to the line loop alone: a failed
+    # C-reader attempt would drain the start of the stream. The whitespace
+    # line near the end is one the C reader refuses.
+    rows = [f"{i / 7!r},{-i * 1e-3!r}" for i in range(3000)]
+    text = "\n".join(rows[:2990] + ["  "] + rows[2990:]) + "\n"
+    want = read_matrix_csv(_write(tmp_path, text))
+    assert want.shape == (3000, 2)
+
+    fifo = str(tmp_path / "pipe.csv")
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w", encoding="utf-8") as handle:
+            handle.write(text)
+
+    result = {}
+
+    def read():
+        try:
+            result["got"] = read_matrix_csv(fifo)
+        except InputError as exc:
+            result["got"] = exc
+
+    writer = threading.Thread(target=feed, daemon=True)
+    reader = threading.Thread(target=read, daemon=True)
+    writer.start()
+    reader.start()
+    reader.join(timeout=30)
+    if reader.is_alive():
+        # a second open of the pipe waits for a writer that never comes;
+        # open one so the stuck reader sees end of file and exits
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(timeout=5)
+        pytest.fail("the pipe was opened twice")
+    writer.join(timeout=5)
+    got = result["got"]
+    assert isinstance(got, np.ndarray), got
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 _FORMATS = (repr, lambda v: "%.17g" % v, lambda v: "%.3e" % v)
