@@ -106,23 +106,27 @@ def _read_matrix_csv_strict(path: str) -> np.ndarray:
     except OSError as exc:
         raise InputError(f"cannot open {path}: {exc}") from exc
     with handle:
-        for lineno, line in enumerate(handle, 1):
-            text = line.strip()
-            if not text:
-                continue
-            fields = text.split(",")
-            try:
-                row = [float(f) for f in fields]
-            except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: not a float row: {exc}") from exc
-            if any(not math.isfinite(v) for v in row):
-                raise InputError(f"{path}:{lineno}: non-finite value")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise InputError(
-                    f"{path}:{lineno}: expected {width} columns, got {len(row)}")
-            rows.append(row)
+        try:
+            for lineno, line in enumerate(handle, 1):
+                text = line.strip()
+                if not text:
+                    continue
+                fields = text.split(",")
+                try:
+                    row = [float(f) for f in fields]
+                except ValueError as exc:
+                    raise InputError(f"{path}:{lineno}: not a float row: {exc}") from exc
+                if any(not math.isfinite(v) for v in row):
+                    raise InputError(f"{path}:{lineno}: non-finite value")
+                if width is None:
+                    width = len(row)
+                elif len(row) != width:
+                    raise InputError(
+                        f"{path}:{lineno}: expected {width} columns, got {len(row)}")
+                rows.append(row)
+        except UnicodeDecodeError as exc:
+            # raised by the handle's decoder, outside any one line
+            raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     if not rows:
         raise InputError(f"{path}: no data rows")
     return np.asarray(rows, dtype=np.float64)

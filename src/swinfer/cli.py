@@ -20,10 +20,11 @@ import sys
 import numpy as np
 
 from ._textio import InputError, dump_json, format_float, read_matrix_csv, write_text
-from .estimators import SlicedEstimate, _direction_pass, combined_variance, w_hat_sq
+# imported only so perfbench's tracer can wrap this name; the pass runs in inference
+from .estimators import _direction_pass  # noqa: F401
 from .geometry import SampleMatrix, sample_directions
-from .inference import (DegenerateVarianceError, confidence_interval,
-                        effective_rate, test_statistic, two_sided_pvalue)
+from .inference import (DegenerateVarianceError, _estimate_and_variance, analyze,
+                        confidence_interval, effective_rate)
 from .sim import SimulationPlan, result_csv_text, result_json_text, run_plan
 
 ENV_PREFIX = "SWINFER_"
@@ -100,7 +101,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_samples(args) -> tuple[SampleMatrix, SampleMatrix, str, str]:
+def _load_samples(args, k, p, seed, level) -> tuple[SampleMatrix, SampleMatrix, dict]:
+    """Both samples and the report head that describes the inputs."""
     x_path = _resolve(args.x, "X", str, required=True)
     y_path = _resolve(args.y, "Y", str, required=True)
     X = read_matrix_csv(x_path)
@@ -110,7 +112,9 @@ def _load_samples(args) -> tuple[SampleMatrix, SampleMatrix, str, str]:
     if X.shape[1] != Y.shape[1]:
         raise InputError(f"dimension mismatch: {x_path} has d={X.shape[1]}, "
                          f"{y_path} has d={Y.shape[1]}")
-    return SampleMatrix(X), SampleMatrix(Y), x_path, y_path
+    head = {"x": x_path, "y": y_path, "n": X.shape[0], "m": Y.shape[0],
+            "d": X.shape[1], "k": k, "p": p, "seed": seed, "level": level}
+    return SampleMatrix(X), SampleMatrix(Y), head
 
 
 def _common_values(args):
@@ -157,110 +161,70 @@ def _emit_report(doc: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _variance_pieces(X, Y, dirs, p, threads, w_only):
-    """Estimate, dispersion and (when available) the full variance blend."""
-    n, m, k = X.n, Y.n, dirs.k
-    want_potentials = (p == 2.0) and not w_only
-    per_direction, g_x, g_y = _direction_pass(X, Y, dirs, p,
-                                              want_costs=True,
-                                              want_potentials=want_potentials,
-                                              threads=threads)
-    est = SlicedEstimate(sw_pp=float(np.mean(per_direction)),
-                         per_direction=per_direction, p=p, n=n, m=m, k=k)
-    w = w_hat_sq(est)
-    if want_potentials:
-        vc = combined_variance(n, m, k, w.value,
-                               float(np.var(g_x)), float(np.var(g_y)))
-        mode = "combined"
-    elif w_only:
-        r = n * m / (n + m)
-        if k > 0.1 * r:
-            raise InputError(
-                f"w_only studentization needs k <= 0.1 * nm/(n+m) = {0.1 * r:.3g}, "
-                f"got k = {k}")
-        vc = combined_variance(n, m, k, w.value, 0.0, 0.0)
-        mode = "w_only"
-    else:
-        vc = None
-        mode = "none"
-    return est, w, vc, mode
+def _variance_mode(args) -> str:
+    return "w_only" if _resolve_bool(args.w_only, "W_ONLY") else "auto"
+
+
+def _report(command: str, head: dict, estimate: float, w_hat_sq: float,
+            clamped: bool, vc, mode: str, interval, rep=None) -> dict:
+    """The estimate report, or with an InferenceReport ``rep`` the test report.
+
+    Each command keeps its own fixed key order: test adds delta before the
+    estimate and the statistic before the interval, and puts variance_mode
+    last instead of after w_hat_clamped.
+    """
+    doc = {"command": command, **head}
+    if rep is not None:
+        doc["delta"] = rep.delta
+    doc.update({"estimate": estimate, "w_hat_sq": w_hat_sq,
+                "w_hat_clamped": clamped})
+    if rep is None:
+        doc["variance_mode"] = mode
+    if vc is None:
+        doc.update({"ci_low": None, "ci_high": None,
+                    "note": "no potential-based variance at p != 2; "
+                            "pass --w-only with a small k for an interval"})
+        return doc
+    doc.update({
+        "v_hat_pq_sq": vc.v_hat_pq_sq,
+        "v_hat_qp_sq": vc.v_hat_qp_sq,
+        "tau_hat": vc.tau_hat,
+        "lambda_hat": vc.lambda_hat,
+        "combined_variance": vc.combined,
+        "effective_rate": effective_rate(head["n"], head["m"], head["k"]),
+    })
+    if rep is not None:
+        doc.update({"statistic": rep.statistic, "p_value": rep.p_value,
+                    "reject": bool(rep.p_value < 1.0 - rep.level)})
+    doc.update({"ci_low": interval[0], "ci_high": interval[1]})
+    if rep is not None:
+        doc["variance_mode"] = mode
+    return doc
 
 
 def cmd_estimate(args) -> int:
     p, k, level, seed, threads, fmt, out = _common_values(args)
-    X, Y, x_path, y_path = _load_samples(args)
-    w_only = _resolve_bool(args.w_only, "W_ONLY")
-    if w_only and p == 2.0:
-        raise InputError("w_only applies to p != 2; p = 2 always uses the blend")
+    X, Y, head = _load_samples(args, k, p, seed, level)
     dirs = sample_directions(X.d, k, seed, _DIRECTIONS_STREAM)
-    est, w, vc, mode = _variance_pieces(X, Y, dirs, p, threads, w_only)
-    doc = {
-        "command": "estimate",
-        "x": x_path, "y": y_path,
-        "n": est.n, "m": est.m, "d": X.d, "k": k,
-        "p": p, "seed": seed, "level": level,
-        "estimate": est.sw_pp,
-        "w_hat_sq": w.value,
-        "w_hat_clamped": w.clamped,
-        "variance_mode": mode,
-    }
-    if vc is not None:
-        low, high = confidence_interval(est.sw_pp, est.n, est.m, k,
-                                        vc.combined, level)
-        doc.update({
-            "v_hat_pq_sq": vc.v_hat_pq_sq,
-            "v_hat_qp_sq": vc.v_hat_qp_sq,
-            "tau_hat": vc.tau_hat,
-            "lambda_hat": vc.lambda_hat,
-            "combined_variance": vc.combined,
-            "effective_rate": effective_rate(est.n, est.m, k),
-            "ci_low": low, "ci_high": high,
-        })
-    else:
-        doc.update({"ci_low": None, "ci_high": None,
-                    "note": "no potential-based variance at p != 2; "
-                            "pass --w-only with a small k for an interval"})
-    _emit_report(doc, fmt, out)
+    est, w, vc, mode = _estimate_and_variance(X, Y, dirs, p, _variance_mode(args),
+                                              threads)
+    interval = None if vc is None else confidence_interval(
+        est.sw_pp, est.n, est.m, k, vc.combined, level)
+    _emit_report(_report("estimate", head, est.sw_pp, w.value, w.clamped,
+                         vc, mode, interval), fmt, out)
     return _EXIT_OK
 
 
 def cmd_test(args) -> int:
     p, k, level, seed, threads, fmt, out = _common_values(args)
     delta = _resolve(args.delta, "DELTA", float, required=True)
-    X, Y, x_path, y_path = _load_samples(args)
-    w_only = _resolve_bool(args.w_only, "W_ONLY")
-    if p != 2.0 and not w_only:
-        raise InputError("testing with p != 2 requires --w-only "
-                         "(no potential-based variance exists there)")
-    if w_only and p == 2.0:
-        raise InputError("w_only applies to p != 2; p = 2 always uses the blend")
+    X, Y, head = _load_samples(args, k, p, seed, level)
     dirs = sample_directions(X.d, k, seed, _DIRECTIONS_STREAM)
-    est, w, vc, mode = _variance_pieces(X, Y, dirs, p, threads, w_only)
-    statistic = test_statistic(est.sw_pp, delta, est.n, est.m, k, vc.combined)
-    p_value = two_sided_pvalue(statistic)
-    low, high = confidence_interval(est.sw_pp, est.n, est.m, k, vc.combined, level)
-    doc = {
-        "command": "test",
-        "x": x_path, "y": y_path,
-        "n": est.n, "m": est.m, "d": X.d, "k": k,
-        "p": p, "seed": seed, "level": level,
-        "delta": delta,
-        "estimate": est.sw_pp,
-        "w_hat_sq": w.value,
-        "w_hat_clamped": w.clamped,
-        "v_hat_pq_sq": vc.v_hat_pq_sq,
-        "v_hat_qp_sq": vc.v_hat_qp_sq,
-        "tau_hat": vc.tau_hat,
-        "lambda_hat": vc.lambda_hat,
-        "combined_variance": vc.combined,
-        "effective_rate": effective_rate(est.n, est.m, k),
-        "statistic": statistic,
-        "p_value": p_value,
-        "reject": bool(p_value < 1.0 - level),
-        "ci_low": low, "ci_high": high,
-        "variance_mode": mode,
-    }
-    _emit_report(doc, fmt, out)
+    rep = analyze(X, Y, dirs, p=p, delta=delta, level=level, threads=threads,
+                  variance_mode=_variance_mode(args))
+    _emit_report(_report("test", head, rep.estimate, rep.variance.w_hat_sq,
+                         rep.w_hat_clamped, rep.variance, rep.variance_mode,
+                         (rep.ci_low, rep.ci_high), rep), fmt, out)
     return _EXIT_OK
 
 

@@ -73,6 +73,21 @@ def _sorted_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(block, order, axis=1), order
 
 
+def _check_dims(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet) -> None:
+    if X.d != Y.d or X.d != dirs.d:
+        raise ValueError(
+            f"dimension mismatch: X d={X.d}, Y d={Y.d}, dirs d={dirs.d}")
+
+
+def _potentials_in_input_order(ssrc: np.ndarray, stgt: np.ndarray,
+                               order: np.ndarray) -> np.ndarray:
+    """Potentials of the sorted source rows, scattered back to input order."""
+    ph = potential_values_batch(ssrc, stgt)
+    out = np.empty_like(ph)
+    np.put_along_axis(out, order, ph, axis=1)
+    return out
+
+
 def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float,
                 want_costs: bool, want_potentials: bool):
     px = dir_rows @ X.data.T
@@ -87,14 +102,8 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     sy, oy = _sorted_rows(py)
     del px, py  # free the unsorted projections before the potentials
     costs = wasserstein_pp_batch(sx, sy, p) if want_costs else None
-    phx = potential_values_batch(sx, sy)
-    buf = np.empty_like(phx)
-    np.put_along_axis(buf, ox, phx, axis=1)
-    gx_sum = buf.sum(axis=0)
-    phy = potential_values_batch(sy, sx)
-    buf = np.empty_like(phy)
-    np.put_along_axis(buf, oy, phy, axis=1)
-    gy_sum = buf.sum(axis=0)
+    gx_sum = _potentials_in_input_order(sx, sy, ox).sum(axis=0)
+    gy_sum = _potentials_in_input_order(sy, sx, oy).sum(axis=0)
     return costs, gx_sum, gy_sum
 
 
@@ -106,9 +115,7 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     reduced in chunk order after all workers finish, so the output does not
     depend on the worker count.
     """
-    if X.d != Y.d or X.d != dirs.d:
-        raise ValueError(
-            f"dimension mismatch: X d={X.d}, Y d={Y.d}, dirs d={dirs.d}")
+    _check_dims(X, Y, dirs)
     k = dirs.k
     spans = [(lo, min(lo + _CHUNK, k)) for lo in range(0, k, _CHUNK)]
 
@@ -193,17 +200,12 @@ def potential_table(X: SampleMatrix, Y: SampleMatrix,
     projections of X's rows in input order, transporting X's projected
     empirical measure onto Y's.
     """
-    if X.d != Y.d or X.d != dirs.d:
-        raise ValueError(
-            f"dimension mismatch: X d={X.d}, Y d={Y.d}, dirs d={dirs.d}")
+    _check_dims(X, Y, dirs)
     px = dirs.dirs @ X.data.T
     py = dirs.dirs @ Y.data.T
     sx, ox = _sorted_rows(px)
     sy, _ = _sorted_rows(py)
-    ph = potential_values_batch(sx, sy)
-    out = np.empty_like(ph)
-    np.put_along_axis(out, ox, ph, axis=1)
-    return PotentialTable(phi=out)
+    return PotentialTable(phi=_potentials_in_input_order(sx, sy, ox))
 
 
 def v_hat_sq(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,

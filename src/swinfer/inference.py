@@ -42,6 +42,7 @@ class InferenceReport:
     variance: VarianceComponents
     effective_rate: float
     variance_mode: str = "combined"
+    w_hat_clamped: bool = False
 
 
 def effective_rate(n: int, m: int, k: int) -> float:
@@ -90,6 +91,54 @@ def confidence_interval(estimate: float, n: int, m: int, k: int,
     return (estimate - half, estimate + half)
 
 
+def _estimate_and_variance(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
+                           p: float, variance_mode: str, threads: int,
+                           need_variance: bool = False):
+    """One direction pass to the estimate, ``w_hat_sq`` and the variance.
+
+    Resolves ``variance_mode`` (see :func:`analyze`) to "combined", "w_only"
+    or "none" before the pass; "none", the only outcome for "auto" and
+    "combined" at p != 2, is refused when ``need_variance`` is set. Returns
+    (SlicedEstimate, WHatSq, VarianceComponents or None, mode).
+    """
+    if variance_mode not in ("auto", "combined", "w_only"):
+        raise ValueError(f"unknown variance_mode {variance_mode!r}")
+    n, m, k = X.n, Y.n, dirs.k
+    r = n * m / (n + m)
+    if variance_mode != "w_only":
+        mode = "combined" if p == 2.0 else "none"
+    elif p == 2.0:
+        raise ValueError("w_only applies to p != 2; p = 2 always uses the blend")
+    elif k > _W_ONLY_BUDGET_RATIO * r:
+        raise ValueError(
+            f"w_only studentization needs k <= {_W_ONLY_BUDGET_RATIO} * nm/(n+m) "
+            f"= {_W_ONLY_BUDGET_RATIO * r:.3g}, got k = {k}")
+    else:
+        mode = "w_only"
+    if mode == "none" and need_variance:
+        raise ValueError(
+            "potential-based variance estimation needs p = 2; pass "
+            "variance_mode='w_only' (--w-only) to accept projection-only "
+            "studentization")
+    per_direction, g_x, g_y = _direction_pass(
+        X, Y, dirs, p,
+        want_costs=True,
+        want_potentials=(mode == "combined"),
+        threads=threads)
+    est = SlicedEstimate(sw_pp=float(np.mean(per_direction)),
+                         per_direction=per_direction,
+                         p=float(p), n=n, m=m, k=k)
+    w = w_hat_sq(est)
+    if mode == "combined":
+        vc = combined_variance(n, m, k, w.value,
+                               float(np.var(g_x)), float(np.var(g_y)))
+    elif mode == "w_only":
+        vc = combined_variance(n, m, k, w.value, 0.0, 0.0)
+    else:
+        vc = None
+    return est, w, vc, mode
+
+
 def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0,
             delta: float = 0.0, level: float = 0.95, threads: int = 1,
             variance_mode: str = "auto") -> InferenceReport:
@@ -113,8 +162,11 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
     variance_mode : {"auto", "combined", "w_only"}
         "combined" (the "auto" resolution at p = 2) blends projection and
         sampling variance. "w_only" studentizes by the projection variance
-        alone, which is only honest when k is small next to nm/(n+m); it is
-        refused when k exceeds a tenth of that ratio.
+        alone. It is allowed only at p != 2, where no potential-based
+        variance exists, and only while k <= 0.1 * nm/(n+m), where that
+        variance is an honest studentizer; at p = 2 the blend already puts
+        weight near 1 on ``w_hat_sq`` in that regime. The command line
+        applies the same rule to ``--w-only``.
 
     Returns
     -------
@@ -125,41 +177,12 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
     DegenerateVarianceError
         When the selected variance estimate is exactly zero.
     ValueError
-        For p != 2 without an explicit "w_only" opt-in, or a "w_only"
-        request whose direction budget is too large.
+        For p != 2 without an explicit "w_only" opt-in, a "w_only" request
+        at p = 2, or one whose direction budget is too large.
     """
-    if variance_mode not in ("auto", "combined", "w_only"):
-        raise ValueError(f"unknown variance_mode {variance_mode!r}")
-    if variance_mode == "auto":
-        variance_mode = "combined" if p == 2.0 else "w_only_required"
-    if variance_mode == "combined" and p != 2.0:
-        variance_mode = "w_only_required"
-    if variance_mode == "w_only_required":
-        raise ValueError(
-            "potential-based variance estimation needs p = 2; pass "
-            "variance_mode='w_only' to accept projection-only studentization")
-
-    n, m, k = X.n, Y.n, dirs.k
-    r = n * m / (n + m)
-    if variance_mode == "w_only" and k > _W_ONLY_BUDGET_RATIO * r:
-        raise ValueError(
-            f"w_only studentization needs k <= {_W_ONLY_BUDGET_RATIO} * nm/(n+m) "
-            f"= {_W_ONLY_BUDGET_RATIO * r:.3g}, got k = {k}")
-    per_direction, g_x, g_y = _direction_pass(
-        X, Y, dirs, p,
-        want_costs=True,
-        want_potentials=(variance_mode == "combined"),
-        threads=threads)
-    est = SlicedEstimate(sw_pp=float(np.mean(per_direction)),
-                         per_direction=per_direction,
-                         p=float(p), n=n, m=m, k=k)
-    w = w_hat_sq(est)
-    if variance_mode == "w_only":
-        vc = combined_variance(n, m, k, w.value, 0.0, 0.0)
-    else:
-        vc = combined_variance(n, m, k, w.value,
-                               float(np.var(g_x)), float(np.var(g_y)))
-
+    est, w, vc, mode = _estimate_and_variance(X, Y, dirs, p, variance_mode,
+                                              threads, need_variance=True)
+    n, m, k = est.n, est.m, est.k
     statistic = test_statistic(est.sw_pp, delta, n, m, k, vc.combined)
     low, high = confidence_interval(est.sw_pp, n, m, k, vc.combined, level)
     return InferenceReport(estimate=est.sw_pp,
@@ -171,4 +194,5 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
                            level=float(level),
                            variance=vc,
                            effective_rate=effective_rate(n, m, k),
-                           variance_mode=variance_mode)
+                           variance_mode=mode,
+                           w_hat_clamped=w.clamped)

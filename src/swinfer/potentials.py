@@ -132,20 +132,8 @@ def _c_conjugate_sorted(phi_at_s: np.ndarray, svals: np.ndarray,
     return out
 
 
-def _c_conjugate_brute(phi_at_s: np.ndarray, svals: np.ndarray,
-                       tq: np.ndarray) -> np.ndarray:
-    out = np.empty(tq.shape[0])
-    # chunked so the dense (m, n) block never exceeds a few MB
-    step = max(1, 262144 // max(svals.shape[0], 1))
-    for lo in range(0, tq.shape[0], step):
-        block = tq[lo:lo + step, None]
-        out[lo:lo + step] = np.min((svals[None, :] - block) ** 2
-                                   - phi_at_s[None, :], axis=1)
-    return out
-
-
-def c_conjugate(phi_at_s: np.ndarray, s: SortedProjection, t_points,
-                method: str = "monotone") -> np.ndarray:
+def c_conjugate(phi_at_s: np.ndarray, s: SortedProjection,
+                t_points) -> np.ndarray:
     """c-conjugate phi^c(t) = min_i (|s_(i) - t|^2 - phi(s_(i))).
 
     Parameters
@@ -156,10 +144,6 @@ def c_conjugate(phi_at_s: np.ndarray, s: SortedProjection, t_points,
         The source sample.
     t_points : array-like
         Query points, any order; the result matches their order.
-    method : {"monotone", "brute"}
-        "monotone" exploits the monotone-argmin structure; "brute" scans the
-        full dense grid and exists for testing. Both evaluate the identical
-        expression and return identical values.
 
     Returns
     -------
@@ -173,12 +157,7 @@ def c_conjugate(phi_at_s: np.ndarray, s: SortedProjection, t_points,
         raise ValueError("t_points must be 1-d")
     order = np.argsort(t_points, kind="stable")
     tq = t_points[order]
-    if method == "monotone":
-        conj = _c_conjugate_sorted(phi_at_s, s.values, tq)
-    elif method == "brute":
-        conj = _c_conjugate_brute(phi_at_s, s.values, tq)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    conj = _c_conjugate_sorted(phi_at_s, s.values, tq)
     out = np.empty_like(conj)
     out[order] = conj
     return out

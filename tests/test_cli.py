@@ -208,6 +208,51 @@ def test_w_only_path(data, tmp_path):
     assert proc.returncode == 2  # quadratic cost always blends
 
 
+def test_w_only_env_at_quadratic_cost_exits_2(data):
+    env = {"SWINFER_W_ONLY": "1"}
+    for cmd in (["estimate"], ["test", "--delta", "0.3"]):
+        proc = run_cli(*cmd, "--x", data["x"], "--y", data["y"], "--k", "8",
+                       env_extra=env)
+        assert proc.returncode == 2, cmd
+        assert "w_only" in proc.stderr
+
+
+def test_test_report_equals_analyze(data):
+    from swinfer import cli
+    from swinfer._textio import read_matrix_csv
+    from swinfer.geometry import SampleMatrix, sample_directions
+    from swinfer.inference import analyze
+
+    proc = run_cli("test", "--x", data["x"], "--y", data["y"], "--k", "16",
+                   "--seed", "7", "--delta", "0.3", "--level", "0.9")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    X = SampleMatrix(read_matrix_csv(data["x"]))
+    Y = SampleMatrix(read_matrix_csv(data["y"]))
+    dirs = sample_directions(X.d, 16, 7, cli._DIRECTIONS_STREAM)
+    rep = analyze(X, Y, dirs, delta=0.3, level=0.9)
+    vc = rep.variance
+    want = {"delta": rep.delta, "level": rep.level, "estimate": rep.estimate,
+            "w_hat_sq": vc.w_hat_sq, "w_hat_clamped": rep.w_hat_clamped,
+            "v_hat_pq_sq": vc.v_hat_pq_sq, "v_hat_qp_sq": vc.v_hat_qp_sq,
+            "tau_hat": vc.tau_hat, "lambda_hat": vc.lambda_hat,
+            "combined_variance": vc.combined,
+            "effective_rate": rep.effective_rate, "statistic": rep.statistic,
+            "p_value": rep.p_value, "ci_low": rep.ci_low,
+            "ci_high": rep.ci_high, "variance_mode": rep.variance_mode}
+    for key, value in want.items():
+        assert doc[key] == value, key
+
+
+def test_estimate_constant_data_gives_point_interval(tmp_path):
+    const = tmp_path / "const.csv"
+    const.write_text("1,1\n1,1\n1,1\n1,1\n")
+    proc = run_cli("estimate", "--x", str(const), "--y", str(const), "--k", "8")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["ci_low"] == doc["ci_high"] == doc["estimate"]
+
+
 def write_plan(path, **overrides):
     plan = {"d": 2, "n": 30, "m": 25, "k_values": [4], "h_values": [0.0],
             "delta": 1.0, "replications": 3, "master_seed": 11}

@@ -165,6 +165,14 @@ def test_analyze_w_only_studentizes_by_projection_noise():
     assert rep.statistic == pytest.approx(expected, rel=1e-12)
 
 
+def test_analyze_refuses_w_only_at_quadratic_cost():
+    # the one w-only rule: p != 2 only, as on the command line
+    X, Y = gaussian_pair(7, n=200, m=200)
+    dirs = sample_directions(3, 4, seed=8)
+    with pytest.raises(ValueError, match="w_only"):
+        analyze(X, Y, dirs, p=2.0, variance_mode="w_only")
+
+
 def test_analyze_w_only_budget_guard():
     X, Y = gaussian_pair(9, n=100, m=100)  # r = 50, cap is 5
     dirs = sample_directions(3, 20, seed=10)

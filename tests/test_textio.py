@@ -2,6 +2,8 @@ import gzip
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -133,6 +135,19 @@ def test_read_matrix_csv_missing_path(tmp_path):
         read_matrix_csv(str(tmp_path / "absent.csv"))
 
 
+def test_read_matrix_csv_names_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"1,2\n\xff,3\n")
+    with pytest.raises(InputError, match="not UTF-8 text") as info:
+        read_matrix_csv(str(path))
+    assert str(path) in str(info.value)
+    proc = subprocess.run([sys.executable, "-m", "swinfer.cli", "estimate",
+                           "--x", str(path), "--y", str(path), "--k", "4"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert f"error: {path}: not UTF-8 text" in proc.stderr
+
+
 @pytest.mark.parametrize("text, line", [("\ufeff1,2\n3,4\n", 1),
                                         ("1,2\n#x\n3,4\n", 2)],
                          ids=["bom", "comment"])
@@ -152,7 +167,7 @@ def test_read_matrix_csv_reads_compressed_suffix_as_text(tmp_path):
     packed = tmp_path / "m.csv.gz"
     with gzip.open(packed, "wt") as handle:
         handle.write("1,2\n3,4\n")
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(InputError, match="not UTF-8 text"):
         read_matrix_csv(str(packed))
     with pytest.raises(InputError, match="cannot open"):
         read_matrix_csv(str(tmp_path / "m.csv"))
