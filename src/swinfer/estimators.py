@@ -88,28 +88,46 @@ def _potentials_in_input_order(ssrc: np.ndarray, stgt: np.ndarray,
     return out
 
 
-def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float,
-                want_costs: bool, want_potentials: bool):
+def _project_sorted(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray,
+                    with_order: bool):
+    """Both samples projected on ``dir_rows``, each row sorted.
+
+    Returns (sx, sy, ox, oy). The sort permutations ``ox``, ``oy`` are built
+    only with ``with_order``; otherwise they are None and the projections,
+    which are this call's own, are sorted in place.
+    """
     px = dir_rows @ X.data.T
     py = dir_rows @ Y.data.T
-    if not want_potentials:
-        # costs depend on the sorted values alone, so skip the permutation
-        # and its gather; the projections are this chunk's own, sort in place
+    if not with_order:
         px.sort(axis=1)
         py.sort(axis=1)
-        return wasserstein_pp_batch(px, py, p), None, None
+        return px, py, None, None
     sx, ox = _sorted_rows(px)
     sy, oy = _sorted_rows(py)
-    del px, py  # free the unsorted projections before the potentials
-    costs = wasserstein_pp_batch(sx, sy, p) if want_costs else None
+    return sx, sy, ox, oy
+
+
+def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float,
+                potentials: bool):
+    # costs depend on the sorted values alone; only the potentials need the
+    # permutations and their gathers
+    sx, sy, ox, oy = _project_sorted(X, Y, dir_rows, potentials)
+    costs = wasserstein_pp_batch(sx, sy, p)
+    if not potentials:
+        return costs, None, None
     gx_sum = _potentials_in_input_order(sx, sy, ox).sum(axis=0)
     gy_sum = _potentials_in_input_order(sy, sx, oy).sum(axis=0)
     return costs, gx_sum, gy_sum
 
 
 def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float,
-                    want_costs: bool, want_potentials: bool, threads: int):
+                    potentials: bool, threads: int):
     """One sweep over all directions, chunked for memory and parallelism.
+
+    Returns (SlicedEstimate, g_x, g_y). The per-direction costs are always
+    computed. With ``potentials``, g_x and g_y are the direction-averaged
+    quadratic-cost potentials at X's and Y's rows in input order (the p = 2
+    potentials, whatever ``p`` the costs use); without it they are None.
 
     Chunk boundaries are fixed by ``_CHUNK`` alone, and chunk results are
     reduced in chunk order after all workers finish, so the output does not
@@ -121,7 +139,7 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
 
     def work(span):
         lo, hi = span
-        return _pass_chunk(X, Y, dirs.dirs[lo:hi], p, want_costs, want_potentials)
+        return _pass_chunk(X, Y, dirs.dirs[lo:hi], p, potentials)
 
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -129,21 +147,20 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     else:
         parts = [work(s) for s in spans]
 
-    per_direction = None
-    if want_costs:
-        per_direction = np.empty(k)
-        for (lo, hi), (costs, _, _) in zip(spans, parts):
-            per_direction[lo:hi] = costs
-    g_x = g_y = None
-    if want_potentials:
-        g_x = np.zeros(X.n)
-        g_y = np.zeros(Y.n)
-        for _, gx_sum, gy_sum in parts:
-            g_x += gx_sum
-            g_y += gy_sum
-        g_x /= k
-        g_y /= k
-    return per_direction, g_x, g_y
+    per_direction = np.concatenate([costs for costs, _, _ in parts])
+    est = SlicedEstimate(sw_pp=float(np.mean(per_direction)),
+                         per_direction=per_direction,
+                         p=float(p), n=X.n, m=Y.n, k=k)
+    if not potentials:
+        return est, None, None
+    g_x = np.zeros(X.n)
+    g_y = np.zeros(Y.n)
+    for _, gx_sum, gy_sum in parts:
+        g_x += gx_sum
+        g_y += gy_sum
+    g_x /= k
+    g_y /= k
+    return est, g_x, g_y
 
 
 def sliced_estimate(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
@@ -167,13 +184,7 @@ def sliced_estimate(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     SlicedEstimate
         ``sw_pp`` is the arithmetic mean of the per-direction costs.
     """
-    per_direction, _, _ = _direction_pass(X, Y, dirs, p,
-                                          want_costs=True,
-                                          want_potentials=False,
-                                          threads=threads)
-    return SlicedEstimate(sw_pp=float(np.mean(per_direction)),
-                          per_direction=per_direction,
-                          p=float(p), n=X.n, m=Y.n, k=dirs.k)
+    return _direction_pass(X, Y, dirs, p, False, threads)[0]
 
 
 def w_hat_sq(est: SlicedEstimate) -> WHatSq:
@@ -201,10 +212,7 @@ def potential_table(X: SampleMatrix, Y: SampleMatrix,
     empirical measure onto Y's.
     """
     _check_dims(X, Y, dirs)
-    px = dirs.dirs @ X.data.T
-    py = dirs.dirs @ Y.data.T
-    sx, ox = _sorted_rows(px)
-    sy, _ = _sorted_rows(py)
+    sx, sy, ox, _ = _project_sorted(X, Y, dirs.dirs, True)
     return PotentialTable(phi=_potentials_in_input_order(sx, sy, ox))
 
 
@@ -218,10 +226,7 @@ def v_hat_sq(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     covariances, at O(k n) cost instead of O(k^2 n). Swap the arguments to
     estimate the companion quantity for Y.
     """
-    _, g_x, _ = _direction_pass(X, Y, dirs, 2.0,
-                                want_costs=False,
-                                want_potentials=True,
-                                threads=threads)
+    _, g_x, _ = _direction_pass(X, Y, dirs, 2.0, True, threads)
     return float(np.var(g_x))
 
 

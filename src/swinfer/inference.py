@@ -15,8 +15,8 @@ from scipy.special import ndtr, ndtri
 
 import numpy as np
 
-from .estimators import (SlicedEstimate, VarianceComponents, _direction_pass,
-                         combined_variance, w_hat_sq)
+from .estimators import (VarianceComponents, _direction_pass, combined_variance,
+                         w_hat_sq)
 from .geometry import DirectionSet, SampleMatrix
 
 # direction budget must stay well under the harmonic sample size before the
@@ -120,14 +120,7 @@ def _estimate_and_variance(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
             "potential-based variance estimation needs p = 2; pass "
             "variance_mode='w_only' (--w-only) to accept projection-only "
             "studentization")
-    per_direction, g_x, g_y = _direction_pass(
-        X, Y, dirs, p,
-        want_costs=True,
-        want_potentials=(mode == "combined"),
-        threads=threads)
-    est = SlicedEstimate(sw_pp=float(np.mean(per_direction)),
-                         per_direction=per_direction,
-                         p=float(p), n=n, m=m, k=k)
+    est, g_x, g_y = _direction_pass(X, Y, dirs, p, mode == "combined", threads)
     w = w_hat_sq(est)
     if mode == "combined":
         vc = combined_variance(n, m, k, w.value,
