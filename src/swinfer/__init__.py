@@ -13,16 +13,14 @@ from __future__ import annotations
 from .distributions import (GaussianSpec, JAlphaResult, QuadratureConfig,
                             gaussian_quantile_density, gaussian_sw2_meanshift,
                             j_alpha, sample_gaussian, uniform_quantile_density)
-from .estimators import (SlicedEstimate, VarianceComponents, WHatSq,
-                         combined_variance, potential_table, sliced_estimate,
-                         v_hat_sq, w_hat_sq)
-from .geometry import (DirectionSet, SampleMatrix, as_sample_matrix, project,
-                       project_all, sample_directions)
+from .estimators import (SlicedEstimate, VarianceComponents, combined_variance,
+                         potential_table, sliced_estimate, v_hat_sq, w_hat_sq)
+from .geometry import (DirectionSet, SampleMatrix, as_sample_matrix,
+                       sample_directions)
 from .inference import (DegenerateVarianceError, InferenceReport, analyze,
                         confidence_interval, effective_rate, test_statistic,
                         two_sided_pvalue)
-from .ot1d import (CouplingCell, SortedProjection, coupling_cells, quantile,
-                   sort_projection, wasserstein_pp)
+from .ot1d import SortedProjection, quantile, sort_projection, wasserstein_pp
 from .potentials import (PotentialTable, c_conjugate, duality_gap,
                          potential_values, row_assignment)
 from .sim import (CellResult, SimulationPlan, SimulationResult, histogram,
@@ -31,16 +29,14 @@ from .sim import (CellResult, SimulationPlan, SimulationResult, histogram,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellResult", "CouplingCell", "DegenerateVarianceError", "DirectionSet",
-    "GaussianSpec", "InferenceReport", "JAlphaResult", "PotentialTable",
-    "QuadratureConfig", "SampleMatrix", "SimulationPlan", "SimulationResult",
-    "SlicedEstimate", "SortedProjection", "VarianceComponents", "WHatSq",
-    "analyze", "as_sample_matrix", "c_conjugate", "combined_variance",
-    "confidence_interval", "coupling_cells", "duality_gap", "effective_rate",
-    "gaussian_quantile_density", "gaussian_sw2_meanshift", "histogram",
-    "j_alpha", "potential_table", "potential_values", "project",
-    "project_all", "quantile", "row_assignment", "run_plan",
-    "sample_directions", "sample_gaussian", "sliced_estimate",
-    "sort_projection", "test_statistic", "two_sided_pvalue", "v_hat_sq",
-    "w_hat_sq", "wasserstein_pp",
+    "CellResult", "DegenerateVarianceError", "DirectionSet", "GaussianSpec",
+    "InferenceReport", "JAlphaResult", "PotentialTable", "QuadratureConfig",
+    "SampleMatrix", "SimulationPlan", "SimulationResult", "SlicedEstimate",
+    "SortedProjection", "VarianceComponents", "analyze", "as_sample_matrix",
+    "c_conjugate", "combined_variance", "confidence_interval", "duality_gap",
+    "effective_rate", "gaussian_quantile_density", "gaussian_sw2_meanshift",
+    "histogram", "j_alpha", "potential_table", "potential_values", "quantile",
+    "row_assignment", "run_plan", "sample_directions", "sample_gaussian",
+    "sliced_estimate", "sort_projection", "test_statistic", "two_sided_pvalue",
+    "v_hat_sq", "w_hat_sq", "wasserstein_pp",
 ]

@@ -166,18 +166,17 @@ def _variance_mode(args) -> str:
 
 
 def _report(command: str, head: dict, estimate: float, w_hat_sq: float,
-            clamped: bool, vc, mode: str, interval, rep=None) -> dict:
+            vc, mode: str, interval, rep=None) -> dict:
     """The estimate report, or with an InferenceReport ``rep`` the test report.
 
     Each command keeps its own fixed key order: test adds delta before the
     estimate and the statistic before the interval, and puts variance_mode
-    last instead of after w_hat_clamped.
+    last instead of after w_hat_sq.
     """
     doc = {"command": command, **head}
     if rep is not None:
         doc["delta"] = rep.delta
-    doc.update({"estimate": estimate, "w_hat_sq": w_hat_sq,
-                "w_hat_clamped": clamped})
+    doc.update({"estimate": estimate, "w_hat_sq": w_hat_sq})
     if rep is None:
         doc["variance_mode"] = mode
     if vc is None:
@@ -210,8 +209,8 @@ def cmd_estimate(args) -> int:
                                               threads)
     interval = None if vc is None else confidence_interval(
         est.sw_pp, est.n, est.m, k, vc.combined, level)
-    _emit_report(_report("estimate", head, est.sw_pp, w.value, w.clamped,
-                         vc, mode, interval), fmt, out)
+    _emit_report(_report("estimate", head, est.sw_pp, w, vc, mode, interval),
+                 fmt, out)
     return _EXIT_OK
 
 
@@ -223,9 +222,18 @@ def cmd_test(args) -> int:
     rep = analyze(X, Y, dirs, p=p, delta=delta, level=level, threads=threads,
                   variance_mode=_variance_mode(args))
     _emit_report(_report("test", head, rep.estimate, rep.variance.w_hat_sq,
-                         rep.w_hat_clamped, rep.variance, rep.variance_mode,
+                         rep.variance, rep.variance_mode,
                          (rep.ci_low, rep.ci_high), rep), fmt, out)
     return _EXIT_OK
+
+
+def _plan_int(path: str, key: str, value) -> int:
+    """An integer plan field; a fraction, a boolean or a string is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise InputError(f"{path}: plan field {key!r} must be an integer, got {value!r}")
 
 
 def _load_plan(path: str, seed_override: int | None) -> SimulationPlan:
@@ -239,7 +247,9 @@ def _load_plan(path: str, seed_override: int | None) -> SimulationPlan:
     if not isinstance(raw, dict):
         raise InputError(f"{path}: plan must be a JSON object")
     raw = dict(raw)
+    k_key = "k_values"
     if "k" in raw and "k_values" not in raw:
+        k_key = "k"
         raw["k_values"] = [raw.pop("k")]
     missing = [key for key in _PLAN_REQUIRED + ("k_values",) if key not in raw]
     if missing:
@@ -248,21 +258,25 @@ def _load_plan(path: str, seed_override: int | None) -> SimulationPlan:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise InputError(f"{path}: unknown plan fields {unknown}")
-    fields = {key: raw[key] for key in _PLAN_REQUIRED + ("k_values",)}
-    for key, default in _PLAN_OPTIONAL.items():
-        fields[key] = raw.get(key, default)
+    fields = {**_PLAN_OPTIONAL, **raw}
     if seed_override is not None:
         fields["master_seed"] = seed_override
+    ints = {key: _plan_int(path, key, fields[key])
+            for key in ("d", "n", "m", "replications", "master_seed")}
+    if not isinstance(fields["k_values"], list):
+        raise InputError(f"{path}: plan field 'k_values' must be a list, "
+                         f"got {fields['k_values']!r}")
+    k_values = tuple(_plan_int(path, k_key, k) for k in fields["k_values"])
+    if not isinstance(fields["reuse_directions"], bool):
+        raise InputError(f"{path}: plan field 'reuse_directions' must be true "
+                         f"or false, got {fields['reuse_directions']!r}")
     try:
         return SimulationPlan(
-            d=int(fields["d"]), n=int(fields["n"]), m=int(fields["m"]),
-            k_values=tuple(int(k) for k in fields["k_values"]),
+            k_values=k_values,
             h_values=tuple(float(h) for h in fields["h_values"]),
             delta=float(fields["delta"]),
-            replications=int(fields["replications"]),
-            master_seed=int(fields["master_seed"]),
             p=float(fields["p"]), level=float(fields["level"]),
-            reuse_directions=bool(fields["reuse_directions"]))
+            reuse_directions=fields["reuse_directions"], **ints)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: invalid plan: {exc}") from exc
 

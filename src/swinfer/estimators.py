@@ -3,20 +3,24 @@
 The point estimator averages exact 1-d costs over k random directions.
 Three variance estimators feed the studentization:
 
-* ``w_hat_sq``, the dispersion of per-direction costs across directions,
-  which captures Monte Carlo projection noise;
+* ``w_hat_sq``, the dispersion of per-direction costs across directions
+  (their two-pass population variance), which captures Monte Carlo
+  projection noise;
 * ``v_hat_sq`` applied to (X, Y) and to (Y, X), the empirical variance over
   source points of the direction-averaged optimal potential, which captures
   sampling noise in the data;
 * ``combined_variance``, a convex blend of the two weighted by how the
   direction budget k compares with the harmonic sample size nm/(n+m).
+
+One chunked sweep, ``_direction_pass``, yields the per-direction costs and,
+on request, the direction-averaged potentials; ``sliced_estimate``,
+``v_hat_sq`` and the inference pipeline all read from it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -37,14 +41,6 @@ class SlicedEstimate:
     n: int
     m: int
     k: int
-
-
-class WHatSq(NamedTuple):
-    """Projection-noise variance estimate; ``clamped`` flags a negative
-    rounding artifact that was truncated to zero."""
-
-    value: float
-    clamped: bool
 
 
 @dataclass(frozen=True)
@@ -90,11 +86,10 @@ def _potentials_in_input_order(ssrc: np.ndarray, stgt: np.ndarray,
 
 def _project_sorted(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray,
                     with_order: bool):
-    """Both samples projected on ``dir_rows``, each row sorted.
+    """Both samples projected on ``dir_rows``, rows sorted: (sx, sy, ox, oy).
 
-    Returns (sx, sy, ox, oy). The sort permutations ``ox``, ``oy`` are built
-    only with ``with_order``; otherwise they are None and the projections,
-    which are this call's own, are sorted in place.
+    Without ``with_order`` the permutations ``ox``, ``oy`` are None and the
+    projections, this call's own, are sorted in place.
     """
     px = dir_rows @ X.data.T
     py = dir_rows @ Y.data.T
@@ -135,17 +130,16 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     """
     _check_dims(X, Y, dirs)
     k = dirs.k
-    spans = [(lo, min(lo + _CHUNK, k)) for lo in range(0, k, _CHUNK)]
+    starts = range(0, k, _CHUNK)
 
-    def work(span):
-        lo, hi = span
-        return _pass_chunk(X, Y, dirs.dirs[lo:hi], p, potentials)
+    def work(lo):
+        return _pass_chunk(X, Y, dirs.dirs[lo:lo + _CHUNK], p, potentials)
 
-    if threads > 1 and len(spans) > 1:
+    if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, spans))
+            parts = list(pool.map(work, starts))
     else:
-        parts = [work(s) for s in spans]
+        parts = [work(lo) for lo in starts]
 
     per_direction = np.concatenate([costs for costs, _, _ in parts])
     est = SlicedEstimate(sw_pp=float(np.mean(per_direction)),
@@ -153,13 +147,8 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
                          p=float(p), n=X.n, m=Y.n, k=k)
     if not potentials:
         return est, None, None
-    g_x = np.zeros(X.n)
-    g_y = np.zeros(Y.n)
-    for _, gx_sum, gy_sum in parts:
-        g_x += gx_sum
-        g_y += gy_sum
-    g_x /= k
-    g_y /= k
+    g_x = sum((gx_sum for _, gx_sum, _ in parts), np.zeros(X.n)) / k
+    g_y = sum((gy_sum for _, _, gy_sum in parts), np.zeros(Y.n)) / k
     return est, g_x, g_y
 
 
@@ -187,20 +176,17 @@ def sliced_estimate(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     return _direction_pass(X, Y, dirs, p, False, threads)[0]
 
 
-def w_hat_sq(est: SlicedEstimate) -> WHatSq:
-    """Dispersion of per-direction costs: mean of squares minus squared mean.
+def w_hat_sq(est: SlicedEstimate) -> float:
+    """Dispersion of per-direction costs: their population variance.
 
-    Requires k >= 2. A tiny negative value can arise from rounding when the
-    per-direction costs are (near-)constant; it is clamped to zero and the
-    clamp is reported.
+    Two-pass (``np.var``): the costs are centered before they are squared,
+    so the result is never negative and does not cancel to zero when the
+    costs are large and nearly equal, as mean of squares minus squared mean
+    does. Requires k >= 2.
     """
     if est.k < 2:
         raise ValueError("w_hat_sq needs at least 2 directions")
-    per = est.per_direction
-    value = float(np.mean(per * per) - est.sw_pp ** 2)
-    if value < 0.0:
-        return WHatSq(0.0, True)
-    return WHatSq(value, False)
+    return float(np.var(est.per_direction))
 
 
 def potential_table(X: SampleMatrix, Y: SampleMatrix,

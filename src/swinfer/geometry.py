@@ -1,4 +1,4 @@
-"""Uniform random directions on the unit sphere and sample projections."""
+"""Sample matrices and uniform random directions on the unit sphere."""
 
 from __future__ import annotations
 
@@ -124,23 +124,3 @@ def sample_directions(d: int, k: int, seed: int, stream_id: int = 0) -> Directio
     return DirectionSet(dirs=z / norms[:, None], k=k, seed=int(seed),
                         stream_id=int(stream_id))
 
-
-def project(samples: SampleMatrix, direction: np.ndarray) -> np.ndarray:
-    """Project every observation onto a direction.
-
-    Entry i of the result is the inner product of row i of the sample with
-    ``direction``. Callers are expected to pass unit vectors; the map itself
-    is the plain inner product and is linear in ``direction``.
-    """
-    direction = np.asarray(direction, dtype=np.float64)
-    if direction.shape != (samples.d,):
-        raise ValueError(
-            f"direction has shape {direction.shape}, expected ({samples.d},)")
-    return samples.data @ direction
-
-
-def project_all(samples: SampleMatrix, dirs: DirectionSet) -> np.ndarray:
-    """All projections at once, returned as a (k, n) matrix."""
-    if dirs.d != samples.d:
-        raise ValueError(f"dimension mismatch: samples d={samples.d}, dirs d={dirs.d}")
-    return dirs.dirs @ samples.data.T

@@ -42,7 +42,6 @@ class InferenceReport:
     variance: VarianceComponents
     effective_rate: float
     variance_mode: str = "combined"
-    w_hat_clamped: bool = False
 
 
 def effective_rate(n: int, m: int, k: int) -> float:
@@ -99,7 +98,7 @@ def _estimate_and_variance(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     Resolves ``variance_mode`` (see :func:`analyze`) to "combined", "w_only"
     or "none" before the pass; "none", the only outcome for "auto" and
     "combined" at p != 2, is refused when ``need_variance`` is set. Returns
-    (SlicedEstimate, WHatSq, VarianceComponents or None, mode).
+    (SlicedEstimate, w_hat_sq, VarianceComponents or None, mode).
     """
     if variance_mode not in ("auto", "combined", "w_only"):
         raise ValueError(f"unknown variance_mode {variance_mode!r}")
@@ -122,14 +121,11 @@ def _estimate_and_variance(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
             "studentization")
     est, g_x, g_y = _direction_pass(X, Y, dirs, p, mode == "combined", threads)
     w = w_hat_sq(est)
-    if mode == "combined":
-        vc = combined_variance(n, m, k, w.value,
-                               float(np.var(g_x)), float(np.var(g_y)))
-    elif mode == "w_only":
-        vc = combined_variance(n, m, k, w.value, 0.0, 0.0)
-    else:
-        vc = None
-    return est, w, vc, mode
+    if mode == "none":
+        return est, w, None, mode
+    v_pq = float(np.var(g_x)) if mode == "combined" else 0.0
+    v_qp = float(np.var(g_y)) if mode == "combined" else 0.0
+    return est, w, combined_variance(n, m, k, w, v_pq, v_qp), mode
 
 
 def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0,
@@ -173,7 +169,7 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
         For p != 2 without an explicit "w_only" opt-in, a "w_only" request
         at p = 2, or one whose direction budget is too large.
     """
-    est, w, vc, mode = _estimate_and_variance(X, Y, dirs, p, variance_mode,
+    est, _, vc, mode = _estimate_and_variance(X, Y, dirs, p, variance_mode,
                                               threads, need_variance=True)
     n, m, k = est.n, est.m, est.k
     statistic = test_statistic(est.sw_pp, delta, n, m, k, vc.combined)
@@ -187,5 +183,4 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
                            level=float(level),
                            variance=vc,
                            effective_rate=effective_rate(n, m, k),
-                           variance_mode=mode,
-                           w_hat_clamped=w.clamped)
+                           variance_mode=mode)

@@ -11,7 +11,7 @@ which equals the integral of |F_n^{-1} - G_m^{-1}|^p over (0, 1) exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,25 +56,14 @@ def sort_projection(values) -> SortedProjection:
     return SortedProjection(values=values[perm], perm=perm)
 
 
-@dataclass(frozen=True)
-class CouplingCell:
-    """One positive-mass cell of the quantile coupling.
-
-    ``i`` and ``j`` are 1-based order-statistic ranks; ``mass`` is the length
-    of ((i-1)/n, i/n] intersected with ((j-1)/m, j/m].
-    """
-
-    i: int
-    j: int
-    mass: float
-
-
 @lru_cache(maxsize=32)
 def _cell_arrays(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """0-based rank arrays (i0, j0) and masses for the (n, m) coupling.
 
     Breakpoints are merged in integer arithmetic over the common denominator
-    n*m, so cell boundaries are exact and every cell has positive mass.
+    n*m, so cell boundaries are exact and every cell has positive mass. Cells
+    come in increasing quantile order, at most n + m - 1 of them; per source
+    rank the masses sum to 1/n, per target rank to 1/m.
     """
     if n < 1 or m < 1:
         raise ValueError("sample sizes must be positive")
@@ -87,17 +76,6 @@ def _cell_arrays(n: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in (i0, j0, mass):
         arr.setflags(write=False)
     return i0, j0, mass
-
-
-def coupling_cells(n: int, m: int) -> list[CouplingCell]:
-    """All positive-mass cells of the (n, m) quantile coupling.
-
-    Emitted in increasing quantile order; there are at most n + m - 1 cells.
-    Per fixed source rank the masses sum to 1/n, per target rank to 1/m.
-    """
-    i0, j0, mass = _cell_arrays(n, m)
-    return [CouplingCell(int(i) + 1, int(j) + 1, float(w))
-            for i, j, w in zip(i0, j0, mass)]
 
 
 def _pow_cost(diff: np.ndarray, p: float) -> np.ndarray:

@@ -111,7 +111,7 @@ def test_criterion_4_gaussian_ground_truth():
         Yr = sample_gaussian(q_spec, n, seed=78, stream_id=sx + 1)
         dr = sample_directions(d, k, seed=78, stream_id=sx + 2)
         est = sliced_estimate(Xr, Yr, dr)
-        dispersion[rep] = w_hat_sq(est).value
+        dispersion[rep] = w_hat_sq(est)
     se = dispersion.std(ddof=1) / np.sqrt(200)
     assert abs(dispersion.mean() - true_w) <= 3.0 * se
     elapsed = time.perf_counter() - start

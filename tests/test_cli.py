@@ -233,7 +233,7 @@ def test_test_report_equals_analyze(data):
     rep = analyze(X, Y, dirs, delta=0.3, level=0.9)
     vc = rep.variance
     want = {"delta": rep.delta, "level": rep.level, "estimate": rep.estimate,
-            "w_hat_sq": vc.w_hat_sq, "w_hat_clamped": rep.w_hat_clamped,
+            "w_hat_sq": vc.w_hat_sq,
             "v_hat_pq_sq": vc.v_hat_pq_sq, "v_hat_qp_sq": vc.v_hat_qp_sq,
             "tau_hat": vc.tau_hat, "lambda_hat": vc.lambda_hat,
             "combined_variance": vc.combined,
@@ -295,6 +295,34 @@ def test_simulate_scalar_k_alias(tmp_path):
     proc = run_cli("simulate", "--plan", str(plan),
                    "--out", str(tmp_path / "s"))
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("field,value", [
+    ("reuse_directions", "false"), ("reuse_directions", 1),
+    ("replications", 2.7), ("k_values", [4.9]), ("k_values", 4),
+    ("d", True), ("n", "30"), ("m", 25.5), ("master_seed", 1.5)])
+def test_simulate_rejects_coerced_plan_fields(tmp_path, field, value):
+    plan = write_plan(tmp_path / "plan.json", **{field: value})
+    proc = run_cli("simulate", "--plan", str(plan),
+                   "--out", str(tmp_path / "s"))
+    assert proc.returncode == 2, proc.stdout
+    assert f"plan field {field!r}" in proc.stderr
+
+
+def test_simulate_accepts_integral_floats_and_names_scalar_k(tmp_path):
+    plan = write_plan(tmp_path / "plan.json", replications=3.0, k_values=[4.0])
+    proc = run_cli("simulate", "--plan", str(plan), "--out", str(tmp_path / "s"))
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "s.json").read_text())
+    assert doc["plan"]["replications"] == 3
+    assert doc["plan"]["k_values"] == [4]
+
+    scalar = {"d": 2, "n": 20, "m": 20, "k": 4.9, "h_values": [0.0],
+              "delta": 1.0, "replications": 2, "master_seed": 1}
+    plan.write_text(json.dumps(scalar))
+    proc = run_cli("simulate", "--plan", str(plan), "--out", str(tmp_path / "t"))
+    assert proc.returncode == 2
+    assert "plan field 'k'" in proc.stderr
 
 
 def test_simulate_rejects_bad_plans(tmp_path):

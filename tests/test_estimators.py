@@ -88,30 +88,41 @@ def test_estimate_rejects_mismatch_and_bad_p():
 def test_w_hat_sq_two_point_example():
     fake = SlicedEstimate(sw_pp=1.0, per_direction=np.array([0.0, 2.0]),
                           p=2.0, n=10, m=10, k=2)
-    assert w_hat_sq(fake).value == 1.0
-    assert not w_hat_sq(fake).clamped
+    assert w_hat_sq(fake) == 1.0
 
 
 def test_w_hat_sq_zero_dispersion_clamps():
     same = SlicedEstimate(sw_pp=0.3, per_direction=np.full(5, 0.3),
                           p=2.0, n=10, m=10, k=5)
     got = w_hat_sq(same)
-    assert got.value == 0.0
-    # force the rounding direction so the clamp path is exercised
+    assert got == 0.0
+    # a mean one ulp off must not leak into the dispersion
     bumped = SlicedEstimate(sw_pp=np.nextafter(0.3, 1.0),
                             per_direction=np.full(5, 0.3),
                             p=2.0, n=10, m=10, k=5)
     flagged = w_hat_sq(bumped)
-    assert flagged.value == 0.0
-    assert flagged.clamped
+    assert flagged == 0.0
 
 
 def test_w_hat_sq_matches_two_pass_variance():
     X, Y = make_pair(8)
     est = sliced_estimate(X, Y, sample_directions(4, 64, seed=3))
-    got = w_hat_sq(est).value
+    got = w_hat_sq(est)
     assert got == pytest.approx(float(np.var(est.per_direction)),
                                 rel=1e-10, abs=1e-12)
+
+
+def test_w_hat_sq_survives_cancellation():
+    # costs of 1e8 +- 0.1: mean of squares minus squared mean cancels to
+    # 0.0 here (or below zero); the variance of uniform(-0.1, 0.1) noise is
+    # 0.2^2 / 12, about 3.3e-3
+    rng = np.random.default_rng(2025)
+    per = 1e8 + rng.uniform(-0.1, 0.1, 1000)
+    est = SlicedEstimate(sw_pp=float(np.mean(per)), per_direction=per,
+                         p=2.0, n=10, m=10, k=1000)
+    got = w_hat_sq(est)
+    assert got > 0.0
+    assert got == pytest.approx(float(np.var(per)), rel=1e-9)
 
 
 def test_w_hat_sq_needs_two_directions():

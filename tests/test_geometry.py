@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_array_equal
 
 from swinfer.geometry import (DirectionSet, SampleMatrix, as_sample_matrix,
-                              project, project_all, sample_directions)
+                              sample_directions)
 
 
 def test_sample_matrix_validation():
@@ -77,60 +75,3 @@ def test_first_coordinate_second_moment():
     se = np.sqrt(np.var(oracle_vals) / k)
     assert abs(np.mean(oracle_vals) - 1.0 / d) <= 4 * se
     assert abs(sample_mean - 1.0 / d) <= 3 * se
-
-
-def test_project_matches_triple_loop():
-    rng = np.random.default_rng(11)
-    X = as_sample_matrix(rng.normal(size=(4, 3)))
-    theta = rng.normal(size=3)
-    theta /= np.linalg.norm(theta)
-    got = project(X, theta)
-    expected = np.zeros(4)
-    for i in range(4):
-        for j in range(3):
-            expected[i] += theta[j] * X.data[i, j]
-    assert_allclose(got, expected, atol=1e-14)
-
-
-def test_project_basis_rows():
-    X = as_sample_matrix(np.eye(2))
-    assert_array_equal(project(X, np.array([1.0, 0.0])), np.array([1.0, 0.0]))
-
-
-def test_project_negation():
-    rng = np.random.default_rng(3)
-    X = as_sample_matrix(rng.normal(size=(6, 4)))
-    theta = rng.normal(size=4)
-    theta /= np.linalg.norm(theta)
-    assert_array_equal(project(X, -theta), -project(X, theta))
-
-
-def test_project_dimension_mismatch():
-    X = as_sample_matrix(np.zeros((3, 4)))
-    with pytest.raises(ValueError):
-        project(X, np.array([1.0, 0.0]))
-
-
-def test_project_all_agrees_with_rowwise():
-    rng = np.random.default_rng(8)
-    X = as_sample_matrix(rng.normal(size=(9, 5)))
-    dirs = sample_directions(5, 13, seed=21)
-    stacked = project_all(X, dirs)
-    for l in range(13):
-        assert_allclose(stacked[l], project(X, dirs.dirs[l]),
-                        rtol=1e-12, atol=1e-14)
-
-
-@settings(deadline=None, max_examples=50)
-@given(st.integers(2, 12), st.integers(1, 6),
-       st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False),
-       st.integers(0, 2**32 - 1))
-def test_projection_linearity(n, d, a, b, seed):
-    # linearity holds for the raw inner-product map, checked pre-normalization
-    rng = np.random.default_rng(seed)
-    X = as_sample_matrix(rng.normal(size=(n, d)))
-    t1 = rng.normal(size=d)
-    t2 = rng.normal(size=d)
-    lhs = project(X, a * t1 + b * t2)
-    rhs = a * project(X, t1) + b * project(X, t2)
-    assert_allclose(lhs, rhs, atol=1e-12, rtol=1e-12)

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from swinfer.ot1d import (CouplingCell, coupling_cells, quantile,
-                          sort_projection, wasserstein_pp)
+from swinfer.ot1d import _cell_arrays, quantile, sort_projection, wasserstein_pp
 
 
 def brute_cells(n, m):
@@ -20,6 +19,13 @@ def brute_cells(n, m):
             if hi > lo:
                 cells.append((i, j, hi - lo))
     return cells
+
+
+def kernel_cells(n, m):
+    """(i, j, mass) per coupling cell, with 1-based ranks, read off the
+    arrays the cost kernels use."""
+    i0, j0, mass = _cell_arrays(n, m)
+    return [(int(i) + 1, int(j) + 1, float(w)) for i, j, w in zip(i0, j0, mass)]
 
 
 def brute_wpp(svals, tvals, p):
@@ -54,43 +60,42 @@ def test_sort_projection_rejects_nan_and_inf():
 
 
 def test_coupling_cells_aligned():
-    assert coupling_cells(2, 2) == [CouplingCell(1, 1, 0.5),
-                                    CouplingCell(2, 2, 0.5)]
+    assert kernel_cells(2, 2) == [(1, 1, 0.5), (2, 2, 0.5)]
 
 
 def test_coupling_cells_2_3():
-    got = coupling_cells(2, 3)
+    got = kernel_cells(2, 3)
     expected = [(1, 1, Fraction(1, 3)), (1, 2, Fraction(1, 6)),
                 (2, 2, Fraction(1, 6)), (2, 3, Fraction(1, 3))]
-    assert [(c.i, c.j) for c in got] == [(i, j) for i, j, _ in expected]
-    assert_allclose([c.mass for c in got],
+    assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in expected]
+    assert_allclose([w for _, _, w in got],
                     [float(m) for _, _, m in expected], rtol=0, atol=1e-16)
 
 
 def test_coupling_cells_transpose_symmetry():
-    a = coupling_cells(3, 2)
-    b = coupling_cells(2, 3)
-    assert [(c.i, c.j, c.mass) for c in a] == [(c.j, c.i, c.mass) for c in b]
+    a = kernel_cells(3, 2)
+    b = kernel_cells(2, 3)
+    assert a == [(j, i, w) for i, j, w in b]
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 3), (7, 5), (50, 33), (40, 40)])
 def test_coupling_cells_match_brute_force(n, m):
-    got = [(c.i, c.j, Fraction(c.mass).limit_denominator(n * m))
-           for c in coupling_cells(n, m)]
+    got = [(i, j, Fraction(w).limit_denominator(n * m))
+           for i, j, w in kernel_cells(n, m)]
     assert got == brute_cells(n, m)
 
 
 @pytest.mark.parametrize("n,m", [(2, 3), (13, 7), (50, 49), (64, 64)])
 def test_coupling_cell_margins(n, m):
-    cells = coupling_cells(n, m)
+    cells = kernel_cells(n, m)
     assert len(cells) <= n + m - 1
-    assert all(c.mass > 0 for c in cells)
-    assert abs(sum(c.mass for c in cells) - 1.0) <= 1e-15
-    for i in range(1, n + 1):
-        row = sum(c.mass for c in cells if c.i == i)
+    assert all(w > 0 for _, _, w in cells)
+    assert abs(sum(w for _, _, w in cells) - 1.0) <= 1e-15
+    for row_rank in range(1, n + 1):
+        row = sum(w for i, _, w in cells if i == row_rank)
         assert abs(row - 1.0 / n) <= 1e-15
-    for j in range(1, m + 1):
-        col = sum(c.mass for c in cells if c.j == j)
+    for col_rank in range(1, m + 1):
+        col = sum(w for _, j, w in cells if j == col_rank)
         assert abs(col - 1.0 / m) <= 1e-15
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from swinfer.ot1d import coupling_cells, sort_projection, wasserstein_pp
+from swinfer.ot1d import _cell_arrays, sort_projection, wasserstein_pp
 from swinfer.potentials import (c_conjugate, duality_gap, potential_values,
                                 potential_values_batch, row_assignment)
 
@@ -18,10 +18,11 @@ def c_conjugate_brute(phi_at_s, svals, t_points):
 
 def rank_from_cells(n, m):
     """Oracle: largest coupled target rank per source rank, read off the
-    brute-force cell list."""
+    coupling's cell arrays."""
     out = np.zeros(n, dtype=int)
-    for cell in coupling_cells(n, m):
-        out[cell.i - 1] = max(out[cell.i - 1], cell.j)
+    i0, j0, _ = _cell_arrays(n, m)
+    for i, j in zip(i0, j0):
+        out[i] = max(out[i], j + 1)
     return out
 
 
