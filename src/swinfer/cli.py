@@ -61,13 +61,6 @@ def _resolve(flag_value, name: str, cast, default=None, required: bool = False):
     return default
 
 
-def _resolve_bool(flag_value: bool, name: str) -> bool:
-    if flag_value:
-        return True
-    raw = _env(name)
-    return raw is not None and raw.strip().lower() in ("1", "true", "yes", "on")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swinfer",
@@ -80,9 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--y", help="CSV file with the second sample")
             p.add_argument("--k", type=int, help="number of random directions")
             p.add_argument("--p", type=float, help="cost exponent, must exceed 1")
-            p.add_argument("--w-only", action="store_true", dest="w_only",
-                           help="studentize by projection variance alone "
-                                "(required for p != 2, needs small k)")
         p.add_argument("--level", type=float, help="confidence level (default 0.95)")
         p.add_argument("--seed", type=int, help="seed for all randomness")
         p.add_argument("--threads", type=int, help="worker bound (default 1)")
@@ -150,8 +140,6 @@ def _emit_report(doc: dict, fmt: str, out: str | None) -> None:
                 cells.append(str(int(val)))
             elif isinstance(val, float):
                 cells.append(format_float(val))
-            elif val is None:
-                cells.append("")
             else:
                 cells.append(str(val))
         text = ",".join(keys) + "\n" + ",".join(cells) + "\n"
@@ -161,30 +149,19 @@ def _emit_report(doc: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _variance_mode(args) -> str:
-    return "w_only" if _resolve_bool(args.w_only, "W_ONLY") else "auto"
-
-
-def _report(command: str, head: dict, estimate: float, w_hat_sq: float,
-            vc, mode: str, interval, rep=None) -> dict:
+def _report(command: str, head: dict, estimate: float, vc, interval,
+            rep=None) -> dict:
     """The estimate report, or with an InferenceReport ``rep`` the test report.
 
-    Each command keeps its own fixed key order: test adds delta before the
-    estimate and the statistic before the interval, and puts variance_mode
-    last instead of after w_hat_sq.
+    The test report adds delta before the estimate and the statistic before
+    the interval.
     """
     doc = {"command": command, **head}
     if rep is not None:
         doc["delta"] = rep.delta
-    doc.update({"estimate": estimate, "w_hat_sq": w_hat_sq})
-    if rep is None:
-        doc["variance_mode"] = mode
-    if vc is None:
-        doc.update({"ci_low": None, "ci_high": None,
-                    "note": "no potential-based variance at p != 2; "
-                            "pass --w-only with a small k for an interval"})
-        return doc
     doc.update({
+        "estimate": estimate,
+        "w_hat_sq": vc.w_hat_sq,
         "v_hat_pq_sq": vc.v_hat_pq_sq,
         "v_hat_qp_sq": vc.v_hat_qp_sq,
         "tau_hat": vc.tau_hat,
@@ -196,8 +173,6 @@ def _report(command: str, head: dict, estimate: float, w_hat_sq: float,
         doc.update({"statistic": rep.statistic, "p_value": rep.p_value,
                     "reject": bool(rep.p_value < 1.0 - rep.level)})
     doc.update({"ci_low": interval[0], "ci_high": interval[1]})
-    if rep is not None:
-        doc["variance_mode"] = mode
     return doc
 
 
@@ -205,12 +180,9 @@ def cmd_estimate(args) -> int:
     p, k, level, seed, threads, fmt, out = _common_values(args)
     X, Y, head = _load_samples(args, k, p, seed, level)
     dirs = sample_directions(X.d, k, seed, _DIRECTIONS_STREAM)
-    est, w, vc, mode = _estimate_and_variance(X, Y, dirs, p, _variance_mode(args),
-                                              threads)
-    interval = None if vc is None else confidence_interval(
-        est.sw_pp, est.n, est.m, k, vc.combined, level)
-    _emit_report(_report("estimate", head, est.sw_pp, w, vc, mode, interval),
-                 fmt, out)
+    est, vc = _estimate_and_variance(X, Y, dirs, p, threads)
+    interval = confidence_interval(est.sw_pp, est.n, est.m, k, vc.combined, level)
+    _emit_report(_report("estimate", head, est.sw_pp, vc, interval), fmt, out)
     return _EXIT_OK
 
 
@@ -219,10 +191,8 @@ def cmd_test(args) -> int:
     delta = _resolve(args.delta, "DELTA", float, required=True)
     X, Y, head = _load_samples(args, k, p, seed, level)
     dirs = sample_directions(X.d, k, seed, _DIRECTIONS_STREAM)
-    rep = analyze(X, Y, dirs, p=p, delta=delta, level=level, threads=threads,
-                  variance_mode=_variance_mode(args))
-    _emit_report(_report("test", head, rep.estimate, rep.variance.w_hat_sq,
-                         rep.variance, rep.variance_mode,
+    rep = analyze(X, Y, dirs, p=p, delta=delta, level=level, threads=threads)
+    _emit_report(_report("test", head, rep.estimate, rep.variance,
                          (rep.ci_low, rep.ci_high), rep), fmt, out)
     return _EXIT_OK
 
@@ -234,6 +204,22 @@ def _plan_int(path: str, key: str, value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise InputError(f"{path}: plan field {key!r} must be an integer, got {value!r}")
+
+
+def _plan_real(path: str, key: str, value) -> float:
+    """A real-number plan field; a string, a boolean, NaN or an infinity is refused."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise InputError(f"{path}: plan field {key!r} must be a finite real number, "
+                     f"got {value!r}")
+
+
+def _plan_list(path: str, key: str, value, item) -> tuple:
+    """A list plan field, each entry checked by ``item``."""
+    if not isinstance(value, list):
+        raise InputError(f"{path}: plan field {key!r} must be a list, got {value!r}")
+    return tuple(item(path, key, entry) for entry in value)
 
 
 def _load_plan(path: str, seed_override: int | None) -> SimulationPlan:
@@ -263,20 +249,16 @@ def _load_plan(path: str, seed_override: int | None) -> SimulationPlan:
         fields["master_seed"] = seed_override
     ints = {key: _plan_int(path, key, fields[key])
             for key in ("d", "n", "m", "replications", "master_seed")}
-    if not isinstance(fields["k_values"], list):
-        raise InputError(f"{path}: plan field 'k_values' must be a list, "
-                         f"got {fields['k_values']!r}")
-    k_values = tuple(_plan_int(path, k_key, k) for k in fields["k_values"])
+    k_values = _plan_list(path, k_key, fields["k_values"], _plan_int)
+    h_values = _plan_list(path, "h_values", fields["h_values"], _plan_real)
+    reals = {key: _plan_real(path, key, fields[key]) for key in ("delta", "p", "level")}
     if not isinstance(fields["reuse_directions"], bool):
         raise InputError(f"{path}: plan field 'reuse_directions' must be true "
                          f"or false, got {fields['reuse_directions']!r}")
     try:
-        return SimulationPlan(
-            k_values=k_values,
-            h_values=tuple(float(h) for h in fields["h_values"]),
-            delta=float(fields["delta"]),
-            p=float(fields["p"]), level=float(fields["level"]),
-            reuse_directions=fields["reuse_directions"], **ints)
+        return SimulationPlan(k_values=k_values, h_values=h_values,
+                              reuse_directions=fields["reuse_directions"],
+                              **ints, **reals)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: invalid plan: {exc}") from exc
 

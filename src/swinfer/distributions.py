@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import ndtri, poch
 
 from ._rng import gaussian_rows
 from .geometry import SampleMatrix
@@ -57,18 +57,22 @@ def sample_gaussian(spec: GaussianSpec, n: int, seed: int,
     return SampleMatrix(spec.mean + math.sqrt(spec.sigma_sq) * z)
 
 
-def gaussian_sw2_meanshift(delta) -> float:
-    """Population sliced squared cost between N(a, I) and N(a + delta, I).
+def gaussian_sw2_meanshift(delta, p: float = 2.0) -> float:
+    """Population sliced p-cost between N(a, I) and N(a + delta, I).
 
     Along a unit direction theta the projected measures are unit-variance
     Gaussians separated by <theta, delta>, so the directional cost is
-    <theta, delta>^2 and its sphere average is ||delta||^2 / d. Depends on
-    delta only through its norm.
+    |<theta, delta>|^p and its sphere average is E|theta_1|^p ||delta||^p,
+    with E|theta_1|^p = Gamma(d/2) Gamma((p+1)/2) / (sqrt(pi) Gamma((d+p)/2)).
+    At p = 2 this is ||delta||^2 / d. Depends on delta only through its norm.
     """
     delta = np.atleast_1d(np.asarray(delta, dtype=np.float64))
     if delta.ndim != 1:
         raise ValueError("delta must be a vector")
-    return float(delta @ delta) / delta.shape[0]
+    d = delta.shape[0]
+    # poch(a, x) = Gamma(a + x) / Gamma(a), and sqrt(pi) = Gamma(1/2)
+    moment = float(poch(0.5, 0.5 * p) / poch(0.5 * d, 0.5 * p))
+    return float(delta @ delta) ** (0.5 * p) * moment
 
 
 def gaussian_quantile_density(t) -> np.ndarray:

@@ -60,10 +60,10 @@ def _sorted_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The permutation comes from the default (unstable, vectorized) argsort, so
     tied values may come out in any order. Callers only scatter potentials
-    back through it, and tied source points always get equal potentials:
-    the convex part grows by slope * (s_(i+1) - s_(i)) = 0 across a tie, and
-    the quadratic part is equal too. The scattered result therefore does not
-    depend on how ties are ordered.
+    back through it, and tied source points always get equal potentials at
+    every p: the step across a tie is h(s - t) - h(s - t) for the same
+    floats, exactly 0. The scattered result therefore does not depend on how
+    ties are ordered.
     """
     order = np.argsort(block, axis=1)
     return np.take_along_axis(block, order, axis=1), order
@@ -76,9 +76,9 @@ def _check_dims(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet) -> None:
 
 
 def _potentials_in_input_order(ssrc: np.ndarray, stgt: np.ndarray,
-                               order: np.ndarray) -> np.ndarray:
+                               order: np.ndarray, p: float) -> np.ndarray:
     """Potentials of the sorted source rows, scattered back to input order."""
-    ph = potential_values_batch(ssrc, stgt)
+    ph = potential_values_batch(ssrc, stgt, p)
     out = np.empty_like(ph)
     np.put_along_axis(out, order, ph, axis=1)
     return out
@@ -110,8 +110,8 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     costs = wasserstein_pp_batch(sx, sy, p)
     if not potentials:
         return costs, None, None
-    gx_sum = _potentials_in_input_order(sx, sy, ox).sum(axis=0)
-    gy_sum = _potentials_in_input_order(sy, sx, oy).sum(axis=0)
+    gx_sum = _potentials_in_input_order(sx, sy, ox, p).sum(axis=0)
+    gy_sum = _potentials_in_input_order(sy, sx, oy, p).sum(axis=0)
     return costs, gx_sum, gy_sum
 
 
@@ -121,8 +121,8 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
 
     Returns (SlicedEstimate, g_x, g_y). The per-direction costs are always
     computed. With ``potentials``, g_x and g_y are the direction-averaged
-    quadratic-cost potentials at X's and Y's rows in input order (the p = 2
-    potentials, whatever ``p`` the costs use); without it they are None.
+    potentials for the same cost |s - t|^p at X's and Y's rows in input
+    order; without it they are None.
 
     Chunk boundaries are fixed by ``_CHUNK`` alone, and chunk results are
     reduced in chunk order after all workers finish, so the output does not
@@ -189,9 +189,9 @@ def w_hat_sq(est: SlicedEstimate) -> float:
     return float(np.var(est.per_direction))
 
 
-def potential_table(X: SampleMatrix, Y: SampleMatrix,
-                    dirs: DirectionSet) -> PotentialTable:
-    """Quadratic-cost potentials for every direction, at original points.
+def potential_table(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
+                    p: float = 2.0) -> PotentialTable:
+    """Potentials for the cost |s - t|^p per direction, at original points.
 
     Row l holds the optimal potential for direction l evaluated at the
     projections of X's rows in input order, transporting X's projected
@@ -199,12 +199,12 @@ def potential_table(X: SampleMatrix, Y: SampleMatrix,
     """
     _check_dims(X, Y, dirs)
     sx, sy, ox, _ = _project_sorted(X, Y, dirs.dirs, True)
-    return PotentialTable(phi=_potentials_in_input_order(sx, sy, ox))
+    return PotentialTable(phi=_potentials_in_input_order(sx, sy, ox, p))
 
 
 def v_hat_sq(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
-             threads: int = 1) -> float:
-    """Sampling-noise variance estimate from transport potentials (p = 2).
+             p: float = 2.0, threads: int = 1) -> float:
+    """Sampling-noise variance estimate from the |s - t|^p potentials.
 
     Averages the per-direction potentials pointwise over directions and
     returns the population variance of that average across X's rows. This
@@ -212,7 +212,7 @@ def v_hat_sq(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     covariances, at O(k n) cost instead of O(k^2 n). Swap the arguments to
     estimate the companion quantity for Y.
     """
-    _, g_x, _ = _direction_pass(X, Y, dirs, 2.0, True, threads)
+    _, g_x, _ = _direction_pass(X, Y, dirs, p, True, threads)
     return float(np.var(g_x))
 
 

@@ -1,13 +1,18 @@
-"""Optimal transport potentials for the quadratic cost on the line.
+"""Optimal transport potentials for the cost |s - t|^p on the line.
 
-For p = 2 the dual of the empirical transport problem is attained by a
-c-concave potential phi(x) = x^2 - 2*phi_conv(x) with phi_conv convex and
-piecewise linear. On the sorted source points the convex part satisfies
-phi_conv(s_(1)) = 0 and grows with slope t_(r(i)) on [s_(i), s_(i+1)],
+For a convex cost h(s - t) = |s - t|^p, p > 1, the dual of the empirical
+transport problem is attained by a potential built from the monotone
+coupling alone. On the sorted source points it starts from
+phi(s_(1)) = 0 and steps with
+
+    phi(s_(i+1)) = phi(s_(i)) + h(s_(i+1) - t_(r(i))) - h(s_(i) - t_(r(i))),
+
 where r(i) is the largest target rank coupled to source rank i. Together
-with the c-conjugate phi^c(t) = min_i (|s_(i) - t|^2 - phi(s_(i))) this
+with the c-conjugate phi^c(t) = min_i (h(s_(i) - t) - phi(s_(i))) this
 attains the primal cost: strong duality holds exactly for empirical
-measures, up to floating-point rounding.
+measures, up to floating-point rounding. Each step is a difference of costs
+of s - t, so a common translation of both samples leaves every value
+unchanged up to rounding, with nothing large squared before it cancels.
 """
 
 from __future__ import annotations
@@ -16,9 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ot1d import SortedProjection, wasserstein_pp
-
-ANCHOR_NOTE = "phi_conv(s_(1)) = 0 per direction"
+from .ot1d import SortedProjection, _pow_cost, wasserstein_pp
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,13 +29,12 @@ class PotentialTable:
     """Per-direction potential values at the original source points.
 
     ``phi[l][i]`` is the optimal potential for direction l evaluated at the
-    projection of the i-th source observation in input order. ``anchor``
-    records the normalization fixing the additive constant; every consumer
-    in this package is invariant to that choice.
+    projection of the i-th source observation in input order, fixed to 0
+    at the smallest projection; every consumer in this package is
+    invariant to that additive constant.
     """
 
     phi: np.ndarray
-    anchor: str = ANCHOR_NOTE
 
     @property
     def k(self) -> int:
@@ -55,62 +57,46 @@ def row_assignment(n: int, m: int) -> np.ndarray:
     return -(-(i * m) // n)
 
 
-def _potential_sorted(svals: np.ndarray, tvals: np.ndarray) -> np.ndarray:
-    """phi at sorted source points; inputs are sorted 1-d arrays."""
-    n = svals.shape[0]
-    if n == 1:
-        return svals ** 2
-    slopes = tvals[row_assignment(n, tvals.shape[0])[:-1] - 1]
-    conv = np.empty(n)
-    conv[0] = 0.0
-    np.cumsum(slopes * np.diff(svals), out=conv[1:])
-    return svals ** 2 - 2.0 * conv
+def potential_values(s: SortedProjection, t: SortedProjection,
+                     p: float = 2.0) -> np.ndarray:
+    """Optimal potential phi for the cost |s - t|^p at the sorted source points.
 
-
-def potential_values(s: SortedProjection, t: SortedProjection) -> np.ndarray:
-    """Optimal potential phi evaluated at the sorted source points.
-
-    The convex part is anchored at phi_conv(s_(1)) = 0 and accumulated with
-    slope t_(r(i)) across consecutive sorted source points; the returned
-    values are phi(s_(i)) = s_(i)^2 - 2 * phi_conv(s_(i)). Use ``s.perm`` to
-    scatter the values back to input order.
-
-    Only the quadratic cost is supported; callers selecting another exponent
-    must be rejected upstream.
+    Starts from phi(s_(1)) = 0 and steps across consecutive sorted source
+    points by the cost difference against t_(r(i)); a single source point
+    gets [0]. Use ``s.perm`` to scatter the values back to input order.
     """
-    return _potential_sorted(s.values, t.values)
+    t_r = t.values[row_assignment(s.n, t.n)[:-1] - 1]
+    steps = np.abs(s.values[1:] - t_r) ** p - np.abs(s.values[:-1] - t_r) ** p
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def potential_values_batch(S: np.ndarray, T: np.ndarray) -> np.ndarray:
+def potential_values_batch(S: np.ndarray, T: np.ndarray,
+                           p: float = 2.0) -> np.ndarray:
     """Row-wise potentials for stacks of pre-sorted samples.
 
     ``S`` is (k, n) and ``T`` is (k, m), each row sorted. Returns the (k, n)
     matrix of phi values at the sorted source points, row by row.
     """
-    k, n = S.shape
-    if n == 1:
-        return S ** 2
-    m = T.shape[1]
-    # r(i) = i when m == n, so the slopes are a view and need no gather.
+    n, m = S.shape[1], T.shape[1]
+    # r(i) = i when m == n, so t_(r(i)) is a view and needs no gather.
     # ``take`` gathers in C order; a fancy index would give Fortran order,
-    # and the mixed-layout multiply below runs about twice as slow.
-    slopes = T[:, :-1] if m == n else T.take(row_assignment(n, m)[:-1] - 1, axis=1)
-    conv = np.empty((k, n))
-    conv[:, 0] = 0.0
-    np.subtract(S[:, 1:], S[:, :-1], out=conv[:, 1:])
-    conv[:, 1:] *= slopes
-    np.cumsum(conv[:, 1:], axis=1, out=conv[:, 1:])
-    # s^2 - 2c, computed as s^2 + (-2)c: scaling by -2 is exact
-    conv *= -2.0
-    conv += S * S
-    return conv
+    # and the mixed-layout arithmetic below runs about twice as slow.
+    T_r = T[:, :-1] if m == n else T.take(row_assignment(n, m)[:-1] - 1, axis=1)
+    out = np.empty(S.shape)
+    out[:, 0] = 0.0
+    steps = out[:, 1:]
+    upper = _pow_cost(np.subtract(S[:, 1:], T_r), p)
+    _pow_cost(np.subtract(S[:, :-1], T_r, out=steps), p)
+    np.subtract(upper, steps, out=steps)
+    np.cumsum(steps, axis=1, out=steps)
+    return out
 
 
 def _c_conjugate_sorted(phi_at_s: np.ndarray, svals: np.ndarray,
-                        tq: np.ndarray) -> np.ndarray:
+                        tq: np.ndarray, p: float) -> np.ndarray:
     """Conjugate at sorted query points via divide and conquer.
 
-    The quadratic cost is submodular in (rank, point), so the minimizing
+    Any convex cost h(s - t) is submodular in (rank, point), so the minimizing
     source rank is nondecreasing along sorted queries regardless of the phi
     vector. Solving the middle query by a full scan of its bracket and
     recursing on the two halves evaluates the same expression as the dense
@@ -123,7 +109,7 @@ def _c_conjugate_sorted(phi_at_s: np.ndarray, svals: np.ndarray,
         if qlo >= qhi:
             continue
         mid = (qlo + qhi) // 2
-        vals = (svals[ilo:ihi + 1] - tq[mid]) ** 2 - phi_at_s[ilo:ihi + 1]
+        vals = np.abs(svals[ilo:ihi + 1] - tq[mid]) ** p - phi_at_s[ilo:ihi + 1]
         a = int(np.argmin(vals))
         out[mid] = vals[a]
         a += ilo
@@ -133,8 +119,8 @@ def _c_conjugate_sorted(phi_at_s: np.ndarray, svals: np.ndarray,
 
 
 def c_conjugate(phi_at_s: np.ndarray, s: SortedProjection,
-                t_points) -> np.ndarray:
-    """c-conjugate phi^c(t) = min_i (|s_(i) - t|^2 - phi(s_(i))).
+                t_points, p: float = 2.0) -> np.ndarray:
+    """c-conjugate phi^c(t) = min_i (|s_(i) - t|^p - phi(s_(i))).
 
     Parameters
     ----------
@@ -144,6 +130,8 @@ def c_conjugate(phi_at_s: np.ndarray, s: SortedProjection,
         The source sample.
     t_points : array-like
         Query points, any order; the result matches their order.
+    p : float
+        Cost exponent.
 
     Returns
     -------
@@ -157,21 +145,22 @@ def c_conjugate(phi_at_s: np.ndarray, s: SortedProjection,
         raise ValueError("t_points must be 1-d")
     order = np.argsort(t_points, kind="stable")
     tq = t_points[order]
-    conj = _c_conjugate_sorted(phi_at_s, s.values, tq)
+    conj = _c_conjugate_sorted(phi_at_s, s.values, tq, p)
     out = np.empty_like(conj)
     out[order] = conj
     return out
 
 
-def duality_gap(s: SortedProjection, t: SortedProjection) -> float:
-    """Primal minus dual value at p = 2; zero up to rounding.
+def duality_gap(s: SortedProjection, t: SortedProjection,
+                p: float = 2.0) -> float:
+    """Primal minus dual value for the cost |s - t|^p; zero up to rounding.
 
-    Returns W_2^2(s, t) - [mean(phi(s_i)) + mean(phi^c(t_j))] where phi is
+    Returns W_p^p(s, t) - [mean(phi(s_i)) + mean(phi^c(t_j))] where phi is
     the constructed potential. The magnitude should not exceed about
-    1e-9 * (1 + W_2^2) on well-scaled data.
+    1e-9 * (1 + W_p^p) on well-scaled data.
     """
-    primal = wasserstein_pp(s, t, 2.0)
-    phi = potential_values(s, t)
-    conj = c_conjugate(phi, s, t.values)
+    primal = wasserstein_pp(s, t, p)
+    phi = potential_values(s, t, p)
+    conj = c_conjugate(phi, s, t.values, p)
     dual = float(np.mean(phi)) + float(np.mean(conj))
     return primal - dual

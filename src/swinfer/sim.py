@@ -2,10 +2,12 @@
 
 Each cell of a plan fixes a direction budget k and a shift offset h; each
 replication draws X from N(0, I_d), Y from N((sqrt(d) + h) e_1, I_d) and a
-fresh direction sample, then runs the full inference pipeline against the
-null value delta. At h = 0 the population sliced cost equals d/d = 1, so
-delta = 1 makes the null true and the rejection rate should track the test
-level; h > 0 pushes the cost above delta and rejections measure power.
+fresh direction sample, then runs the full inference pipeline for the cost
+|s - t|^p against the null value delta. At h = 0 the population sliced cost
+is ``gaussian_sw2_meanshift(sqrt(d) e_1, p)``, which is d/d = 1 at p = 2;
+with delta set to it the null is true and the rejection rate should track
+the test level; h > 0 pushes the cost above delta and rejections measure
+power.
 
 Every replication derives its three substreams (X rows, Y rows, directions)
 from the master seed and the cell and replication indices alone, so results
@@ -25,6 +27,7 @@ from ._textio import dump_json, format_float
 from .distributions import GaussianSpec, sample_gaussian
 from .geometry import sample_directions
 from .inference import DegenerateVarianceError, analyze
+from .ot1d import _check_p
 
 # substream ids 0..15 are reserved for direct CLI use
 _STREAM_BASE = 16
@@ -52,6 +55,7 @@ class SimulationPlan:
                            tuple(int(k) for k in self.k_values))
         object.__setattr__(self, "h_values",
                            tuple(float(h) for h in self.h_values))
+        object.__setattr__(self, "p", _check_p(self.p))
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not 0.0 < self.level < 1.0:
@@ -149,8 +153,6 @@ def run_plan(plan: SimulationPlan, threads: int = 1,
         Per cell: the statistic vector (degenerate replications excluded
         with a count), the rejection rate at the plan level, histogram data.
     """
-    if plan.p != 2.0:
-        raise ValueError("the replication harness requires p = 2")
     tasks = [(ci, ri, k, h)
              for ci, (k, h) in enumerate(plan.cells)
              for ri in range(plan.replications)]

@@ -11,10 +11,11 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 from swinfer.distributions import (GaussianSpec, gaussian_quantile_density,
-                                   j_alpha, sample_gaussian,
-                                   uniform_quantile_density)
+                                   gaussian_sw2_meanshift, j_alpha,
+                                   sample_gaussian, uniform_quantile_density)
 from swinfer.estimators import potential_table, sliced_estimate, v_hat_sq, w_hat_sq
 from swinfer.geometry import sample_directions
 from swinfer.inference import analyze
@@ -136,9 +137,14 @@ def test_criterion_5_scalar_variance_oracle():
     assert elapsed < 60.0
 
 
-def test_criterion_6_null_calibration():
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_criterion_6_null_calibration(p):
+    # at h = 0 the population cost is that of the shift sqrt(8) e_1
+    shift = np.zeros(8)
+    shift[0] = np.sqrt(8.0)
     plan = SimulationPlan(d=8, n=500, m=300, k_values=(400,), h_values=(0.0,),
-                          delta=1.0, replications=1000, master_seed=606)
+                          delta=gaussian_sw2_meanshift(shift, p),
+                          replications=1000, master_seed=606, p=p)
     start = time.perf_counter()
     result = run_plan(plan, threads=8)
     elapsed = time.perf_counter() - start

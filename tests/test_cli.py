@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -41,7 +42,6 @@ def test_estimate_identical_files(data):
     doc = json.loads(proc.stdout)
     assert doc["estimate"] == 0.0
     assert doc["ci_low"] <= 0.0 <= doc["ci_high"]
-    assert doc["variance_mode"] == "combined"
 
 
 def test_estimate_report_fields(data):
@@ -169,52 +169,34 @@ def test_env_fallback_and_flag_priority(data):
     assert "SWINFER_K" in proc.stderr
 
 
-def test_other_exponents_need_opt_in(data):
+def test_other_exponents_run_without_a_flag(data):
     proc = run_cli("test", "--x", data["x"], "--y", data["y"],
-                   "--k", "8", "--p", "1.5", "--delta", "0.3")
-    assert proc.returncode == 2
-    assert "--w-only" in proc.stderr
+                   "--k", "8", "--p", "3", "--delta", "0.3")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["p"] == 3.0
+    assert math.isfinite(doc["statistic"]) and 0.0 <= doc["p_value"] <= 1.0
+    assert doc["ci_low"] < doc["estimate"] < doc["ci_high"]
 
     proc = run_cli("estimate", "--x", data["x"], "--y", data["y"],
                    "--k", "8", "--p", "1.5")
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc["ci_low"] is None and doc["ci_high"] is None
-    assert doc["variance_mode"] == "none"
-    assert "note" in doc
+    assert doc["v_hat_pq_sq"] > 0.0 and doc["v_hat_qp_sq"] > 0.0
+    assert doc["ci_low"] < doc["estimate"] < doc["ci_high"]
+    assert math.isfinite(doc["ci_low"]) and math.isfinite(doc["ci_high"])
+    assert "note" not in doc and "variance_mode" not in doc
 
 
-def test_w_only_path(data, tmp_path):
-    # r = 40*30/70 ~ 17.1, so the budget cap is k <= 1.7: any usable k is
-    # refused on samples this small
-    proc = run_cli("test", "--x", data["x"], "--y", data["y"],
-                   "--k", "8", "--p", "1.5", "--w-only", "--delta", "0.3")
-    assert proc.returncode == 2
-    assert "w_only" in proc.stderr
-
-    rng = np.random.default_rng(5)
-    xp, yp = str(tmp_path / "bx.csv"), str(tmp_path / "by.csv")
-    np.savetxt(xp, rng.normal(0, 1, (300, 2)), delimiter=",")
-    np.savetxt(yp, rng.normal(0.4, 1, (300, 2)), delimiter=",")
-    proc = run_cli("test", "--x", xp, "--y", yp, "--k", "10",
+def test_w_only_is_gone(data):
+    proc = run_cli("test", "--x", data["x"], "--y", data["y"], "--k", "8",
                    "--p", "1.5", "--w-only", "--delta", "0.3")
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(proc.stdout)
-    assert doc["variance_mode"] == "w_only"
-    assert doc["v_hat_pq_sq"] == 0.0
-
-    proc = run_cli("estimate", "--x", xp, "--y", yp, "--k", "10",
-                   "--w-only")
-    assert proc.returncode == 2  # quadratic cost always blends
-
-
-def test_w_only_env_at_quadratic_cost_exits_2(data):
-    env = {"SWINFER_W_ONLY": "1"}
-    for cmd in (["estimate"], ["test", "--delta", "0.3"]):
-        proc = run_cli(*cmd, "--x", data["x"], "--y", data["y"], "--k", "8",
-                       env_extra=env)
-        assert proc.returncode == 2, cmd
-        assert "w_only" in proc.stderr
+    assert proc.returncode == 2
+    assert "--w-only" in proc.stderr
+    # the environment variable of the removed flag changes nothing
+    args = ("estimate", "--x", data["x"], "--y", data["y"], "--k", "8")
+    assert (run_cli(*args, env_extra={"SWINFER_W_ONLY": "1"}).stdout
+            == run_cli(*args).stdout)
 
 
 def test_test_report_equals_analyze(data):
@@ -239,7 +221,7 @@ def test_test_report_equals_analyze(data):
             "combined_variance": vc.combined,
             "effective_rate": rep.effective_rate, "statistic": rep.statistic,
             "p_value": rep.p_value, "ci_low": rep.ci_low,
-            "ci_high": rep.ci_high, "variance_mode": rep.variance_mode}
+            "ci_high": rep.ci_high}
     for key, value in want.items():
         assert doc[key] == value, key
 
@@ -300,7 +282,11 @@ def test_simulate_scalar_k_alias(tmp_path):
 @pytest.mark.parametrize("field,value", [
     ("reuse_directions", "false"), ("reuse_directions", 1),
     ("replications", 2.7), ("k_values", [4.9]), ("k_values", 4),
-    ("d", True), ("n", "30"), ("m", 25.5), ("master_seed", 1.5)])
+    ("d", True), ("n", "30"), ("m", 25.5), ("master_seed", 1.5),
+    ("h_values", "05"), ("h_values", 0.5), ("h_values", [True]),
+    ("h_values", ["0.5"]), ("delta", True), ("delta", "1"), ("p", "2"),
+    ("p", False), ("p", float("nan")), ("delta", float("inf")),
+    ("level", "0.95"), ("level", None)])
 def test_simulate_rejects_coerced_plan_fields(tmp_path, field, value):
     plan = write_plan(tmp_path / "plan.json", **{field: value})
     proc = run_cli("simulate", "--plan", str(plan),
@@ -310,12 +296,17 @@ def test_simulate_rejects_coerced_plan_fields(tmp_path, field, value):
 
 
 def test_simulate_accepts_integral_floats_and_names_scalar_k(tmp_path):
-    plan = write_plan(tmp_path / "plan.json", replications=3.0, k_values=[4.0])
+    # integers are taken for the real fields too, and any p > 1 runs
+    plan = write_plan(tmp_path / "plan.json", replications=3.0, k_values=[4.0],
+                      h_values=[0, 0.5], p=3)
     proc = run_cli("simulate", "--plan", str(plan), "--out", str(tmp_path / "s"))
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((tmp_path / "s.json").read_text())
     assert doc["plan"]["replications"] == 3
     assert doc["plan"]["k_values"] == [4]
+    assert doc["plan"]["h_values"] == [0.0, 0.5]
+    assert doc["plan"]["p"] == 3.0
+    assert all(cell["excluded"] == 0 for cell in doc["cells"])
 
     scalar = {"d": 2, "n": 20, "m": 20, "k": 4.9, "h_values": [0.0],
               "delta": 1.0, "replications": 2, "master_seed": 1}

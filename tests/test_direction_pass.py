@@ -20,6 +20,14 @@ from swinfer.potentials import potential_values_batch, row_assignment
 SHAPES = [(1, 1), (1, 4), (7, 7), (7, 3), (3, 7), (300, 300), (300, 200)]
 
 
+def at_exponents(cases):
+    """Each case at p = 1.5, 2 and 3. The p = 2 cases keep the ids they had
+    before p became a parameter; the others append p."""
+    return [pytest.param(*case, p, id="-".join(map(str, case))
+                         + ("" if p == 2.0 else f"-{p}"))
+            for case in cases for p in (1.5, 2.0, 3.0)]
+
+
 def assert_same_bits(got, want):
     """Exact equality that also tells 0.0 from -0.0."""
     assert_array_equal(got, want)
@@ -33,15 +41,13 @@ def reference_cost(S, T, p):
     return cost @ mass
 
 
-def reference_potentials(S, T):
-    k, n = S.shape
-    if n == 1:
-        return S ** 2
-    r = row_assignment(n, T.shape[1])
-    conv = np.empty((k, n))
-    conv[:, 0] = 0.0
-    np.cumsum(T[:, r[:-1] - 1] * np.diff(S, axis=1), axis=1, out=conv[:, 1:])
-    return S ** 2 - 2.0 * conv
+def reference_potentials(S, T, p):
+    t_r = T[:, row_assignment(S.shape[1], T.shape[1])[:-1] - 1]
+    hi = S[:, 1:] - t_r
+    lo = S[:, :-1] - t_r
+    steps = hi * hi - lo * lo if p == 2.0 else np.abs(hi) ** p - np.abs(lo) ** p
+    return np.concatenate((np.zeros((S.shape[0], 1)), np.cumsum(steps, axis=1)),
+                          axis=1)
 
 
 def reference_pass(X, Y, dirs, p):
@@ -62,7 +68,7 @@ def reference_pass(X, Y, dirs, p):
         per_direction[lo:lo + rows.shape[0]] = reference_cost(sx, sy, p)
         for g, s, t, order in ((g_x, sx, sy, ox), (g_y, sy, sx, oy)):
             buf = np.empty_like(s)
-            np.put_along_axis(buf, order, reference_potentials(s, t), axis=1)
+            np.put_along_axis(buf, order, reference_potentials(s, t, p), axis=1)
             g += buf.sum(axis=0)
     return per_direction, g_x / k, g_y / k
 
@@ -107,27 +113,28 @@ def test_cost_kernel_matches_reference_bitwise(n, m, p):
     assert_same_bits(got, reference_cost(S, T, p))
 
 
-@pytest.mark.parametrize("n,m", SHAPES)
-def test_potential_kernel_matches_reference_bitwise(n, m):
+@pytest.mark.parametrize("n,m,p", at_exponents(SHAPES))
+def test_potential_kernel_matches_reference_bitwise(n, m, p):
     rng = np.random.default_rng(1000 * n + m + 7)
     S = sorted_stack(rng, 9, n, 0)
     T = sorted_stack(rng, 9, m, 1)
     S0, T0 = S.copy(), T.copy()
-    got = potential_values_batch(S, T)
+    got = potential_values_batch(S, T, p)
     assert_array_equal(S, S0)
     assert_array_equal(T, T0)
-    assert_same_bits(got, reference_potentials(S, T))
+    assert_same_bits(got, reference_potentials(S, T, p))
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("n,m", [(60, 60), (70, 45), (45, 70)])
-def test_tie_heavy_pass_matches_stable_reference(n, m, threads):
+@pytest.mark.parametrize("n,m,threads,p", at_exponents(
+    [(n, m, threads) for n, m in [(45, 70), (60, 60), (70, 45)]
+     for threads in (1, 2)]))
+def test_tie_heavy_pass_matches_stable_reference(n, m, threads, p):
     rng = np.random.default_rng(n * m)
     d = 4
     X = tie_heavy_sample(rng, n, d)
     Y = tie_heavy_sample(rng, m, d)
     dirs = tie_heavy_directions(rng, d, _CHUNK + 40)
-    want = reference_pass(X, Y, dirs, 2.0)
-    est, g_x, g_y = _direction_pass(X, Y, dirs, 2.0, True, threads)
+    want = reference_pass(X, Y, dirs, p)
+    est, g_x, g_y = _direction_pass(X, Y, dirs, p, True, threads)
     for g, w in zip((est.per_direction, g_x, g_y), want):
         assert_same_bits(g, w)

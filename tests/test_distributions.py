@@ -62,6 +62,15 @@ def test_meanshift_cost_examples():
     delta = np.zeros(32)
     delta[0] = math.sqrt(32.0)
     assert gaussian_sw2_meanshift(delta) == pytest.approx(1.0, rel=1e-14)
+    # d = 8, p = 3: E|theta_1|^3 = Gamma(4) Gamma(2) / (sqrt(pi) Gamma(11/2))
+    # = 64 / (315 pi), and ||delta||^3 = 16 sqrt(2)
+    delta = np.zeros(8)
+    delta[0] = math.sqrt(8.0)
+    assert gaussian_sw2_meanshift(delta, 3.0) == pytest.approx(
+        1024 * math.sqrt(2.0) / (315 * math.pi), rel=1e-14)
+    # on the line |theta_1| = 1, so the cost is |delta|^p
+    assert gaussian_sw2_meanshift([-2.0], 1.5) == pytest.approx(2.0 ** 1.5, rel=1e-15)
+    assert gaussian_sw2_meanshift(np.zeros(4), 3.0) == 0.0
     with pytest.raises(ValueError):
         gaussian_sw2_meanshift(np.zeros((2, 2)))
 
@@ -79,9 +88,10 @@ def test_meanshift_cost_against_sphere_monte_carlo():
     delta = rng.normal(size=6)
     z = rng.standard_normal((1_000_000, 6))
     theta = z / np.linalg.norm(z, axis=1, keepdims=True)
-    vals = (theta @ delta) ** 2
-    se = vals.std() / math.sqrt(vals.size)
-    assert abs(vals.mean() - gaussian_sw2_meanshift(delta)) <= 4 * se
+    for p in (1.5, 2.0, 3.0):
+        vals = np.abs(theta @ delta) ** p
+        se = vals.std() / math.sqrt(vals.size)
+        assert abs(vals.mean() - gaussian_sw2_meanshift(delta, p)) <= 4 * se
 
 
 def test_quantile_density_values():

@@ -161,10 +161,11 @@ def test_v_hat_sq_equals_double_sum():
     for seed, (n, m, k) in enumerate(cases):
         X, Y = make_pair(20 + seed, n=n, m=m, d=3)
         dirs = sample_directions(3, k, seed=seed)
-        table = potential_table(X, Y, dirs)
-        collapsed = v_hat_sq(X, Y, dirs)
-        explicit = double_sum_variance(table)
-        assert collapsed == pytest.approx(explicit, rel=1e-12, abs=1e-12)
+        for p in (1.5, 2.0, 3.0):
+            table = potential_table(X, Y, dirs, p)
+            collapsed = v_hat_sq(X, Y, dirs, p)
+            explicit = double_sum_variance(table)
+            assert collapsed == pytest.approx(explicit, rel=1e-12, abs=1e-12)
 
 
 def test_v_hat_sq_constant_shift_invariance():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swinfer.estimators import sliced_estimate
+from swinfer.estimators import combined_variance, sliced_estimate, v_hat_sq, w_hat_sq
 from swinfer.geometry import as_sample_matrix, sample_directions
 from swinfer.inference import (DegenerateVarianceError, analyze,
                                confidence_interval, effective_rate,
@@ -118,7 +118,6 @@ def test_analyze_wires_components_together():
     assert rep.estimate == est.sw_pp
     assert rep.delta == 0.1
     assert rep.level == 0.9
-    assert rep.variance_mode == "combined"
     assert 0.0 < rep.variance.tau_hat < 1.0
     assert rep.effective_rate == effective_rate(X.n, Y.n, dirs.k)
     assert rep.statistic == studentized(rep.estimate, 0.1, X.n, Y.n, dirs.k,
@@ -142,41 +141,23 @@ def test_analyze_threads_bitwise_identical():
     assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
 
 
-def test_analyze_refuses_other_exponents_without_opt_in():
-    X, Y = gaussian_pair(5)
-    dirs = sample_directions(3, 4, seed=6)
-    with pytest.raises(ValueError, match="w_only"):
-        analyze(X, Y, dirs, p=1.5)
-    with pytest.raises(ValueError, match="w_only"):
-        analyze(X, Y, dirs, p=3.0, variance_mode="combined")
+def test_analyze_blends_at_every_exponent():
+    # the potentials of the same cost |s - t|^p feed the blend at any p > 1
+    X, Y = gaussian_pair(7, n=200, m=150)
+    dirs = sample_directions(3, 12, seed=8)
+    for p in (1.5, 3.0):
+        rep = analyze(X, Y, dirs, p=p, delta=0.2)
+        est = sliced_estimate(X, Y, dirs, p=p)
+        assert rep.estimate == est.sw_pp
+        vc = combined_variance(X.n, Y.n, dirs.k, w_hat_sq(est),
+                               v_hat_sq(X, Y, dirs, p=p), v_hat_sq(Y, X, dirs, p=p))
+        assert rep.variance == vc
+        assert vc.v_hat_pq_sq > 0.0 and vc.v_hat_qp_sq > 0.0
+        assert math.isfinite(rep.statistic)
+        assert rep.ci_low < rep.estimate < rep.ci_high
     with pytest.raises(ValueError):
-        analyze(X, Y, dirs, variance_mode="bogus")
-
-
-def test_analyze_w_only_studentizes_by_projection_noise():
-    X, Y = gaussian_pair(7, n=200, m=200)
-    dirs = sample_directions(3, 4, seed=8)  # r = 100, budget cap is 10
-    rep = analyze(X, Y, dirs, p=1.5, delta=0.2, variance_mode="w_only")
-    assert rep.variance_mode == "w_only"
-    assert rep.variance.v_hat_pq_sq == 0.0
-    assert rep.variance.v_hat_qp_sq == 0.0
-    expected = math.sqrt(dirs.k) * (rep.estimate - 0.2) / math.sqrt(
-        rep.variance.w_hat_sq)
-    assert rep.statistic == pytest.approx(expected, rel=1e-12)
-
-
-def test_analyze_refuses_w_only_at_quadratic_cost():
-    # the one w-only rule: p != 2 only, as on the command line
-    X, Y = gaussian_pair(7, n=200, m=200)
-    dirs = sample_directions(3, 4, seed=8)
-    with pytest.raises(ValueError, match="w_only"):
-        analyze(X, Y, dirs, p=2.0, variance_mode="w_only")
-
-
-def test_analyze_w_only_budget_guard():
-    X, Y = gaussian_pair(9, n=100, m=100)  # r = 50, cap is 5
-    dirs = sample_directions(3, 20, seed=10)
-    with pytest.raises(ValueError, match="k <="):
+        analyze(X, Y, dirs, p=1.0)
+    with pytest.raises(TypeError):
         analyze(X, Y, dirs, p=1.5, variance_mode="w_only")
 
 

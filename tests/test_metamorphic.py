@@ -8,13 +8,21 @@ each sample against the other come from the same code in either role, so
 the two sampling variances trade places bit for bit. Only the blend
 weights change form (lambda_hat becomes 1 - lambda_hat), so the combined
 variance agrees to rounding.
+
+Scaling X, Y by a and the null value by a^p scales the estimate by a^p and
+leaves T unchanged. At p = 2 and a = 2^j every intermediate is scaled by a
+power of two, so both hold bit for bit; otherwise they hold to rounding.
+
+A common translation of X and Y changes nothing but rounding: costs and
+potential steps are built from differences s - t, so the offset cancels
+before anything is squared.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
 from swinfer.estimators import sliced_estimate
 from swinfer.geometry import as_sample_matrix, sample_directions
@@ -32,9 +40,9 @@ def draw_pair(seed, n, m, d, decimals):
 
 
 @st.composite
-def sizes(draw):
+def sizes(draw, least=2):
     relation = draw(st.sampled_from(["n == m", "n > m", "n < m"]))
-    small = draw(st.integers(2, 40))
+    small = draw(st.integers(least, 40))
     big = draw(st.integers(small + 1, 60))
     return {"n == m": (small, small), "n > m": (big, small),
             "n < m": (small, big)}[relation]
@@ -44,26 +52,71 @@ def sizes(draw):
 @given(nm=sizes(), d=st.integers(1, 4),
        k=st.one_of(st.integers(2, 40), st.integers(510, 600)),
        decimals=st.sampled_from([None, 0, 1]),
-       seed=st.integers(0, 2**32 - 1))
-def test_swapping_samples_is_exact(nm, d, k, decimals, seed):
+       seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1.5, 2.0, 3.0]))
+def test_swapping_samples_is_exact(nm, d, k, decimals, seed, p):
     n, m = nm
     X, Y = draw_pair(seed, n, m, d, decimals)
     dirs = sample_directions(d, k, seed=seed)
-    for p in (1.5, 2.0, 3.0):
-        forward = sliced_estimate(X, Y, dirs, p=p).per_direction
-        backward = sliced_estimate(Y, X, dirs, p=p).per_direction
+    for q in (1.5, 2.0, 3.0):
+        forward = sliced_estimate(X, Y, dirs, p=q).per_direction
+        backward = sliced_estimate(Y, X, dirs, p=q).per_direction
         assert_array_equal(backward.view(np.uint64), forward.view(np.uint64))
 
     try:
-        fwd = analyze(X, Y, dirs)
+        fwd = analyze(X, Y, dirs, p=p)
     except DegenerateVarianceError:
         with pytest.raises(DegenerateVarianceError):
-            analyze(Y, X, dirs)
+            analyze(Y, X, dirs, p=p)
         return
-    back = analyze(Y, X, dirs)
+    back = analyze(Y, X, dirs, p=p)
     assert back.estimate == fwd.estimate
     assert back.variance.w_hat_sq == fwd.variance.w_hat_sq
     assert back.variance.v_hat_pq_sq == fwd.variance.v_hat_qp_sq
     assert back.variance.v_hat_qp_sq == fwd.variance.v_hat_pq_sq
     assert back.variance.combined == pytest.approx(fwd.variance.combined,
                                                    rel=1e-14)
+
+
+def outputs(report):
+    return (report.estimate, report.statistic, report.variance.v_hat_pq_sq,
+            report.variance.v_hat_qp_sq)
+
+
+@settings(deadline=None, max_examples=40)
+@given(nm=sizes(), d=st.integers(1, 4), k=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1.5, 2.0, 3.0]),
+       a=st.one_of(st.integers(-6, 6).map(lambda j: 2.0 ** j),
+                   st.floats(0.01, 100.0)))
+def test_scaling_multiplies_estimate_by_a_to_the_p(nm, d, k, seed, p, a):
+    n, m = nm
+    X, Y = draw_pair(seed, n, m, d, None)
+    dirs = sample_directions(d, k, seed=seed)
+    # a null half the estimate keeps estimate - delta clear of cancellation
+    delta = 0.5 * sliced_estimate(X, Y, dirs, p=p).sw_pp
+    base = analyze(X, Y, dirs, p=p, delta=delta)
+    scaled = analyze(as_sample_matrix(a * X.data), as_sample_matrix(a * Y.data),
+                     dirs, p=p, delta=delta * a ** p)
+    want = (base.estimate * a ** p, base.statistic,
+            base.variance.v_hat_pq_sq * a ** (2 * p),
+            base.variance.v_hat_qp_sq * a ** (2 * p))
+    if p == 2.0 and np.log2(a).is_integer():
+        assert outputs(scaled) == want
+    else:
+        assert_allclose(outputs(scaled), want, rtol=1e-12, atol=0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(nm=sizes(least=10), d=st.integers(1, 4), k=st.integers(2, 40),
+       seed=st.integers(0, 2**32 - 1), p=st.sampled_from([1.5, 2.0, 3.0]),
+       offset=st.sampled_from([1e2, 1e4, 1e6]))
+def test_common_translation_changes_nothing(nm, d, k, seed, p, offset):
+    n, m = nm
+    X, Y = draw_pair(seed, n, m, d, None)
+    dirs = sample_directions(d, k, seed=seed)
+    shift = np.random.default_rng(seed).normal(size=d)
+    shift *= offset / np.linalg.norm(shift)
+    delta = 0.5 * sliced_estimate(X, Y, dirs, p=p).sw_pp
+    base = analyze(X, Y, dirs, p=p, delta=delta)
+    moved = analyze(as_sample_matrix(X.data + shift),
+                    as_sample_matrix(Y.data + shift), dirs, p=p, delta=delta)
+    assert_allclose(outputs(moved), outputs(base), rtol=1e-9, atol=0)

@@ -9,11 +9,11 @@ from swinfer.potentials import (c_conjugate, duality_gap, potential_values,
                                 potential_values_batch, row_assignment)
 
 
-def c_conjugate_brute(phi_at_s, svals, t_points):
-    """Dense-scan reference: min_i (|s_(i) - t|^2 - phi(s_(i))) per query,
+def c_conjugate_brute(phi_at_s, svals, t_points, p=2.0):
+    """Dense-scan reference: min_i (|s_(i) - t|^p - phi(s_(i))) per query,
     the same expression c_conjugate evaluates on a monotone bracket."""
-    return np.min((svals[None, :] - t_points[:, None]) ** 2 - phi_at_s[None, :],
-                  axis=1)
+    cost = np.abs(svals[None, :] - t_points[:, None]) ** p
+    return np.min(cost - phi_at_s[None, :], axis=1)
 
 
 def rank_from_cells(n, m):
@@ -51,9 +51,9 @@ def test_potential_values_hand_recursion():
 def test_potential_values_duplicate_source_points():
     s = sort_projection(np.array([2.0, 2.0]))
     t = sort_projection(np.array([-1.0, 5.0]))
-    phi = potential_values(s, t)
-    # zero increments across the tie leave phi equal to s^2 there
-    assert_array_equal(phi, [4.0, 4.0])
+    # the step across the tie is h(2 - (-1)) - h(2 - (-1)) = 0 at every p
+    for p in (1.5, 2.0, 3.0):
+        assert_array_equal(potential_values(s, t, p), [0.0, 0.0])
 
 
 def test_potential_values_identical_samples():
@@ -68,18 +68,20 @@ def test_potential_values_identical_samples():
 def test_potential_values_single_source_point():
     s = sort_projection(np.array([3.0]))
     t = sort_projection(np.array([0.0, 1.0]))
-    assert_array_equal(potential_values(s, t), [9.0])
+    assert_array_equal(potential_values(s, t), [0.0])
+    assert_array_equal(potential_values(s, t, 3.0), [0.0])
 
 
 def test_batch_matches_scalar_path():
     rng = np.random.default_rng(5)
     S = np.sort(rng.normal(size=(6, 17)), axis=1)
     T = np.sort(rng.normal(size=(6, 11)), axis=1)
-    batch = potential_values_batch(S, T)
-    for row in range(6):
-        single = potential_values(sort_projection(S[row]),
-                                  sort_projection(T[row]))
-        assert_array_equal(batch[row], single)
+    for p in (1.5, 2.0, 3.0):
+        batch = potential_values_batch(S, T, p)
+        for row in range(6):
+            single = potential_values(sort_projection(S[row]),
+                                      sort_projection(T[row]), p)
+            assert_array_equal(batch[row], single)
 
 
 def test_c_conjugate_hand_example():
@@ -138,6 +140,11 @@ def test_duality_gap_hand_example():
     t = sort_projection(np.array([2.0, 3.0]))
     # primal 4, dual (0 - 3)/2 + (4 + 7)/2 = 4
     assert duality_gap(s, t) == 0.0
+    # p = 3: phi = [0, 1 - 8], phi^c = [min(8, 1 + 7), min(27, 8 + 7)],
+    # primal (8 + 8)/2 = 8, dual -7/2 + 23/2 = 8
+    assert_array_equal(potential_values(s, t, 3.0), [0.0, -7.0])
+    assert_array_equal(c_conjugate([0.0, -7.0], s, t.values, 3.0), [8.0, 15.0])
+    assert duality_gap(s, t, 3.0) == 0.0
 
 
 def test_duality_gap_identical_samples():
@@ -154,6 +161,27 @@ def test_strong_duality_random_instances():
         t = sort_projection(rng.normal(1, 3, m))
         w = wasserstein_pp(s, t, 2.0)
         assert abs(duality_gap(s, t)) <= 1e-9 * (1.0 + w)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_strong_duality_other_exponents(p):
+    # the |s - t|^p potential attains the primal cost, is c-concave against
+    # its conjugate, and the divide-and-conquer conjugate equals a dense scan
+    rng = np.random.default_rng(32)
+    worst = 0.0
+    for _ in range(300):
+        n = int(rng.integers(1, 201))
+        m = int(rng.integers(1, 201))
+        s = sort_projection(rng.normal(rng.uniform(-2, 2), rng.uniform(0.2, 3.0), n))
+        t = sort_projection(rng.normal(rng.uniform(-2, 2), rng.uniform(0.2, 3.0), m))
+        w = wasserstein_pp(s, t, p)
+        worst = max(worst, abs(duality_gap(s, t, p)) / (1.0 + w))
+        phi = potential_values(s, t, p)
+        conj = c_conjugate(phi, s, t.values, p)
+        assert_array_equal(conj, c_conjugate_brute(phi, s.values, t.values, p))
+        cost = np.abs(s.values[:, None] - t.values[None, :]) ** p
+        assert (phi[:, None] + conj[None, :] <= cost + 1e-12 * (1.0 + cost)).all()
+    assert worst <= 1e-9
 
 
 def test_phi_conv_slopes_nondecreasing():

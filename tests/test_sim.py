@@ -31,6 +31,9 @@ def test_plan_validation():
         tiny_plan(n=1)
     with pytest.raises(ValueError):
         tiny_plan(d=0)
+    for p in (1.0, 0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="order p"):
+            tiny_plan(p=p)
 
 
 def test_plan_cell_ordering():
@@ -159,9 +162,13 @@ def test_json_text_parses_and_echoes_plan():
         assert sum(cell_doc["histogram"]["counts"]) == cell.statistics.size
 
 
-def test_run_plan_requires_quadratic_cost():
-    with pytest.raises(ValueError):
-        run_plan(tiny_plan(p=1.5))
+def test_run_plan_runs_every_exponent():
+    for p in (1.5, 3.0):
+        plan = tiny_plan(p=p, replications=4)
+        result = run_plan(plan)
+        assert result.cells[0].excluded == 0
+        assert np.isfinite(result.cells[0].statistics).all()
+        assert result_csv_text(run_plan(plan, threads=2)) == result_csv_text(result)
 
 
 def test_csv_keeps_replication_indices_after_exclusion(monkeypatch):
