@@ -59,11 +59,11 @@ def _sorted_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort each row, returning the sorted rows and the sort permutation.
 
     The permutation comes from the default (unstable, vectorized) argsort, so
-    tied values may come out in any order. Callers only scatter potentials
-    back through it, and tied source points always get equal potentials at
-    every p: the step across a tie is h(s - t) - h(s - t) for the same
-    floats, exactly 0. The scattered result therefore does not depend on how
-    ties are ordered.
+    tied values may come out in any order. Callers only reduce potentials
+    back to input order through it, and tied source points always get equal
+    potentials at every p: the step across a tie is h(s - t) - h(s - t) for
+    the same floats, exactly 0. The reduced result therefore does not depend
+    on how ties are ordered.
     """
     order = np.argsort(block, axis=1)
     return np.take_along_axis(block, order, axis=1), order
@@ -73,15 +73,6 @@ def _check_dims(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet) -> None:
     if X.d != Y.d or X.d != dirs.d:
         raise ValueError(
             f"dimension mismatch: X d={X.d}, Y d={Y.d}, dirs d={dirs.d}")
-
-
-def _potentials_in_input_order(ssrc: np.ndarray, stgt: np.ndarray,
-                               order: np.ndarray, p: float) -> np.ndarray:
-    """Potentials of the sorted source rows, scattered back to input order."""
-    ph = potential_values_batch(ssrc, stgt, p)
-    out = np.empty_like(ph)
-    np.put_along_axis(out, order, ph, axis=1)
-    return out
 
 
 def _project_sorted(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray,
@@ -110,8 +101,10 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     costs = wasserstein_pp_batch(sx, sy, p)
     if not potentials:
         return costs, None, None
-    gx_sum = _potentials_in_input_order(sx, sy, ox, p).sum(axis=0)
-    gy_sum = _potentials_in_input_order(sy, sx, oy, p).sum(axis=0)
+    gx_sum = np.bincount(ox.ravel(), minlength=X.n,
+                         weights=potential_values_batch(sx, sy, p).ravel())
+    gy_sum = np.bincount(oy.ravel(), minlength=Y.n,
+                         weights=potential_values_batch(sy, sx, p).ravel())
     return costs, gx_sum, gy_sum
 
 
@@ -124,9 +117,12 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     potentials for the same cost |s - t|^p at X's and Y's rows in input
     order; without it they are None.
 
-    Chunk boundaries are fixed by ``_CHUNK`` alone, and chunk results are
-    reduced in chunk order after all workers finish, so the output does not
-    depend on the worker count.
+    In a chunk, ``np.bincount`` adds each potential to its input-order slot,
+    from +0.0 and in direction order: the sums of the scattered array over
+    axis 0, bit for bit, as a potential is never -0.0. Chunk boundaries are
+    fixed by ``_CHUNK`` alone, and chunk results are reduced in chunk order
+    after all workers finish, so the output does not depend on the worker
+    count.
     """
     _check_dims(X, Y, dirs)
     k = dirs.k
@@ -199,7 +195,9 @@ def potential_table(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     """
     _check_dims(X, Y, dirs)
     sx, sy, ox, _ = _project_sorted(X, Y, dirs.dirs, True)
-    return PotentialTable(phi=_potentials_in_input_order(sx, sy, ox, p))
+    phi = np.empty_like(sx)
+    np.put_along_axis(phi, ox, potential_values_batch(sx, sy, p), axis=1)
+    return PotentialTable(phi=phi)
 
 
 def v_hat_sq(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,

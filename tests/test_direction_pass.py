@@ -14,7 +14,7 @@ from numpy.testing import assert_array_equal
 from swinfer.estimators import _CHUNK, _direction_pass
 from swinfer.geometry import DirectionSet, as_sample_matrix
 from swinfer.ot1d import _cell_arrays, wasserstein_pp_batch
-from swinfer.potentials import potential_values_batch, row_assignment
+from swinfer.potentials import _BLOCK_BYTES, potential_values_batch, row_assignment
 
 # single points, n == m, n > m and n < m, small and large
 SHAPES = [(1, 1), (1, 4), (7, 7), (7, 3), (3, 7), (300, 300), (300, 200)]
@@ -123,6 +123,36 @@ def test_potential_kernel_matches_reference_bitwise(n, m, p):
     assert_array_equal(S, S0)
     assert_array_equal(T, T0)
     assert_same_bits(got, reference_potentials(S, T, p))
+
+
+def block_rows(n):
+    """Rows of upper costs that ``potential_values_batch`` builds at a time."""
+    return max(1, _BLOCK_BYTES // (8 * n))
+
+
+# n == m, n > m, n < m and the 0-column steps of a single source point
+BLOCK_SHAPES = [(300, 300), (300, 200), (200, 300), (7, 3), (1, 1), (1, 4)]
+# a row wider than one block, so every block holds a single row
+WIDE = _BLOCK_BYTES // 8 + 1
+
+
+@pytest.mark.parametrize("n,m,p", at_exponents(BLOCK_SHAPES))
+def test_potential_kernel_crosses_block_boundaries(n, m, p):
+    rows = block_rows(n)
+    k = 2 * rows + rows // 2 + 1  # two full blocks and a ragged last one
+    rng = np.random.default_rng(1000 * n + m + 11)
+    S = sorted_stack(rng, k, n, 0)
+    T = sorted_stack(rng, k, m, 1)
+    assert_same_bits(potential_values_batch(S, T, p), reference_potentials(S, T, p))
+
+
+@pytest.mark.parametrize("n,m,p", at_exponents([(WIDE, WIDE), (WIDE, WIDE - 3)]))
+def test_potential_kernel_single_row_blocks(n, m, p):
+    assert block_rows(n) == 1
+    rng = np.random.default_rng(n + m)
+    S = sorted_stack(rng, 3, n, 0)
+    T = sorted_stack(rng, 3, m, 1)
+    assert_same_bits(potential_values_batch(S, T, p), reference_potentials(S, T, p))
 
 
 @pytest.mark.parametrize("n,m,threads,p", at_exponents(

@@ -16,6 +16,11 @@ power of two, so both hold bit for bit; otherwise they hold to rounding.
 A common translation of X and Y changes nothing but rounding: costs and
 potential steps are built from differences s - t, so the offset cancels
 before anything is squared.
+
+Discrete data, with repeated rows, a constant column and both signed
+zeros, still give a finite estimate, variances and statistic, the same for
+every thread count. Only samples that each sit on a single point may leave
+no noise to studentize by.
 """
 
 import numpy as np
@@ -24,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from swinfer.estimators import sliced_estimate
+from swinfer.estimators import _CHUNK, sliced_estimate
 from swinfer.geometry import as_sample_matrix, sample_directions
 from swinfer.inference import DegenerateVarianceError, analyze
 
@@ -120,3 +125,39 @@ def test_common_translation_changes_nothing(nm, d, k, seed, p, offset):
     moved = analyze(as_sample_matrix(X.data + shift),
                     as_sample_matrix(Y.data + shift), dirs, p=p, delta=delta)
     assert_allclose(outputs(moved), outputs(base), rtol=1e-9, atol=0)
+
+
+def discrete_sample(rng, n, d, column):
+    """n integer-rounded rows drawn from fewer pool rows, so some repeat;
+    ``column`` is zero throughout, with both signs present."""
+    distinct = rng.integers(1, n)
+    pool = np.round(rng.normal(0.0, 1.5, (distinct, d)))
+    rows = pool[rng.integers(0, distinct, n)]
+    rows[:, column] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+    rows[0, column], rows[-1, column] = 0.0, -0.0
+    return as_sample_matrix(rows)
+
+
+def one_point(sample):
+    return bool(np.all(sample.data == sample.data[0]))
+
+
+@settings(deadline=None, max_examples=40)
+@given(n=st.integers(2, 40), m=st.integers(2, 40), d=st.integers(2, 4),
+       k=st.integers(_CHUNK + 1, _CHUNK + 150), seed=st.integers(0, 2**32 - 1),
+       p=st.sampled_from([1.5, 2.0, 3.0]))
+def test_discrete_data_give_finite_thread_identical_reports(n, m, d, k, seed, p):
+    rng = np.random.default_rng(seed)
+    column = rng.integers(0, d)
+    X = discrete_sample(rng, n, d, column)
+    Y = discrete_sample(rng, m, d, column)
+    dirs = sample_directions(d, k, seed=seed)
+    try:
+        report = analyze(X, Y, dirs, p=p, threads=1)
+    except DegenerateVarianceError:
+        assert one_point(X) and one_point(Y)
+        with pytest.raises(DegenerateVarianceError):
+            analyze(X, Y, dirs, p=p, threads=2)
+        return
+    assert np.isfinite(outputs(report)).all()
+    assert analyze(X, Y, dirs, p=p, threads=2) == report
