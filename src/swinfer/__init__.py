@@ -10,19 +10,19 @@ command-line front end sit on top of the library API.
 
 from __future__ import annotations
 
-from .distributions import (GaussianSpec, JAlphaResult, QuadratureConfig,
-                            gaussian_quantile_density, gaussian_sw2_meanshift,
-                            j_alpha, sample_gaussian, uniform_quantile_density)
+from .distributions import (GaussianSpec, JAlphaResult, gaussian_quantile_density,
+                            gaussian_sw2_meanshift, j_alpha, sample_gaussian,
+                            uniform_quantile_density)
 from .estimators import (SlicedEstimate, VarianceComponents, combined_variance,
-                         potential_table, sliced_estimate, v_hat_sq, w_hat_sq)
+                         sliced_estimate, v_hat_sq, w_hat_sq)
 from .geometry import (DirectionSet, SampleMatrix, as_sample_matrix,
                        sample_directions)
 from .inference import (DegenerateVarianceError, InferenceReport, analyze,
                         confidence_interval, effective_rate, test_statistic,
                         two_sided_pvalue)
-from .ot1d import SortedProjection, quantile, sort_projection, wasserstein_pp
-from .potentials import (PotentialTable, c_conjugate, duality_gap,
-                         potential_values, row_assignment)
+from .ot1d import SortedProjection, sort_projection, wasserstein_pp
+from .potentials import (c_conjugate, duality_gap, potential_values,
+                         row_assignment)
 from .sim import (CellResult, SimulationPlan, SimulationResult, histogram,
                   run_plan)
 
@@ -30,13 +30,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CellResult", "DegenerateVarianceError", "DirectionSet", "GaussianSpec",
-    "InferenceReport", "JAlphaResult", "PotentialTable", "QuadratureConfig",
-    "SampleMatrix", "SimulationPlan", "SimulationResult", "SlicedEstimate",
-    "SortedProjection", "VarianceComponents", "analyze", "as_sample_matrix",
-    "c_conjugate", "combined_variance", "confidence_interval", "duality_gap",
+    "InferenceReport", "JAlphaResult", "SampleMatrix", "SimulationPlan",
+    "SimulationResult", "SlicedEstimate", "SortedProjection",
+    "VarianceComponents", "analyze", "as_sample_matrix", "c_conjugate",
+    "combined_variance", "confidence_interval", "duality_gap",
     "effective_rate", "gaussian_quantile_density", "gaussian_sw2_meanshift",
-    "histogram", "j_alpha", "potential_table", "potential_values", "quantile",
-    "row_assignment", "run_plan", "sample_directions", "sample_gaussian",
-    "sliced_estimate", "sort_projection", "test_statistic", "two_sided_pvalue",
-    "v_hat_sq", "w_hat_sq", "wasserstein_pp",
+    "histogram", "j_alpha", "potential_values", "row_assignment", "run_plan",
+    "sample_directions", "sample_gaussian", "sliced_estimate",
+    "sort_projection", "test_statistic", "two_sided_pvalue", "v_hat_sq",
+    "w_hat_sq", "wasserstein_pp",
 ]

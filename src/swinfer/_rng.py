@@ -27,8 +27,10 @@ def philox_stream(seed: int, stream_id: int, salt: tuple[int, ...] = ()) -> np.r
 
 
 def _doubles_from_raw(raw: np.ndarray) -> np.ndarray:
-    # offset keeps the uniforms strictly inside (0, 1) so ndtri stays finite
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    # +0.5 keeps the uniforms above 0; the top 2^11 words round up to 1.0, so
+    # they are clamped to the largest double below 1 and ndtri stays finite
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
+    return np.minimum(u, 1.0 - _INV_2_53, out=u)
 
 
 def uniform_rows(seed: int, stream_id: int, start_row: int, rows: int, width: int,

@@ -11,7 +11,7 @@ ones, and it is classified here numerically from a shrinking-cutoff ladder.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri, poch
@@ -22,6 +22,11 @@ from .geometry import SampleMatrix
 _REL_TOL = 1e-6
 _EXTRAPOLATION_CAP = 0.95
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# the J_alpha cutoff ladder: each rung extends the integration window from
+# (eps_prev, 1 - eps_prev) to (eps, 1 - eps), down to 1e-15, with a fixed
+# Gauss-Legendre node count per tail increment
+_EPSILONS = tuple(10.0 ** -e for e in range(2, 16))
+_POINTS_PER_LEVEL = 48
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,36 +91,6 @@ def uniform_quantile_density(t) -> np.ndarray:
     return np.ones_like(np.asarray(t, dtype=np.float64))
 
 
-def _default_epsilons() -> tuple[float, ...]:
-    return tuple(10.0 ** -e for e in range(2, 16))
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Shrinking-cutoff ladder controlling the J_alpha quadrature.
-
-    ``epsilon_sequence`` must decrease strictly within (0, 1/2); each rung
-    extends the integration window from (eps_prev, 1 - eps_prev) to
-    (eps, 1 - eps). ``points_per_level`` sets the Gauss-Legendre node count
-    per tail increment.
-    """
-
-    epsilon_sequence: tuple[float, ...] = field(default_factory=_default_epsilons)
-    points_per_level: int = 48
-
-    def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilon_sequence)
-        if len(eps) < 2:
-            raise ValueError("need at least two cutoff levels")
-        if any(not 0.0 < e < 0.5 for e in eps):
-            raise ValueError("cutoffs must lie in (0, 1/2)")
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("cutoffs must decrease strictly")
-        if self.points_per_level < 2:
-            raise ValueError("points_per_level must be at least 2")
-        object.__setattr__(self, "epsilon_sequence", eps)
-
-
 @dataclass(frozen=True)
 class JAlphaResult:
     """Value and convergence status of the tail-regularity integral."""
@@ -134,13 +109,8 @@ def _eval_integrand(quantile_density, t_exact: np.ndarray, weight: np.ndarray,
     return weight ** (0.5 * alpha) / dens ** alpha
 
 
-def _panel_nodes(points: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(points)
-
-
-def _central_integral(quantile_density, alpha: float, eps0: float,
-                      points: int) -> float:
-    nodes, weights = _panel_nodes(points)
+def _central_integral(quantile_density, alpha: float, eps0: float) -> float:
+    nodes, weights = np.polynomial.legendre.leggauss(_POINTS_PER_LEVEL)
     total = 0.0
     panel_edges = np.linspace(eps0, 1.0 - eps0, 9)
     for a, b in zip(panel_edges[:-1], panel_edges[1:]):
@@ -151,15 +121,15 @@ def _central_integral(quantile_density, alpha: float, eps0: float,
     return total
 
 
-def _tail_increment(quantile_density, alpha: float, lo: float, hi: float,
-                    points: int) -> float:
+def _tail_increment(quantile_density, alpha: float, lo: float,
+                    hi: float) -> float:
     """Integral over (lo, hi) of both tails, by log-substitution.
 
     The left tail evaluates at t = u; the right tail at t = 1 - u with the
     weight t(1-t) formed from the exact u, which keeps the weight accurate
     deep into the tail.
     """
-    nodes, weights = _panel_nodes(points)
+    nodes, weights = np.polynomial.legendre.leggauss(_POINTS_PER_LEVEL)
     ylo, yhi = math.log(lo), math.log(hi)
     mid, half = 0.5 * (ylo + yhi), 0.5 * (yhi - ylo)
     y = mid + half * nodes
@@ -170,8 +140,7 @@ def _tail_increment(quantile_density, alpha: float, lo: float, hi: float,
     return float(weights @ (jac * (left + right)))
 
 
-def j_alpha(quantile_density, alpha: float,
-            cfg: QuadratureConfig | None = None) -> JAlphaResult:
+def j_alpha(quantile_density, alpha: float) -> JAlphaResult:
     """Classify and evaluate the tail-regularity integral J_alpha.
 
     Parameters
@@ -180,8 +149,6 @@ def j_alpha(quantile_density, alpha: float,
         Vectorized map t -> f(F^{-1}(t)), positive on (0, 1).
     alpha : float
         Exponent, at least 1.
-    cfg : QuadratureConfig, optional
-        Cutoff ladder and node budget; the default reaches cutoffs of 1e-15.
 
     Returns
     -------
@@ -199,15 +166,11 @@ def j_alpha(quantile_density, alpha: float,
     """
     if alpha < 1.0:
         raise ValueError(f"alpha must be at least 1, got {alpha}")
-    cfg = cfg or QuadratureConfig()
-    eps = cfg.epsilon_sequence
-    running = _central_integral(quantile_density, alpha, eps[0],
-                                cfg.points_per_level)
+    running = _central_integral(quantile_density, alpha, _EPSILONS[0])
     previous_value = running
     previous_increment = None
-    for hi, lo in zip(eps[:-1], eps[1:]):
-        increment = _tail_increment(quantile_density, alpha, lo, hi,
-                                    cfg.points_per_level)
+    for hi, lo in zip(_EPSILONS[:-1], _EPSILONS[1:]):
+        increment = _tail_increment(quantile_density, alpha, lo, hi)
         running += increment
         value = running
         if previous_increment is not None and 0.0 < increment:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .geometry import DirectionSet, SampleMatrix
 from .ot1d import wasserstein_pp_batch
-from .potentials import PotentialTable, potential_values_batch
+from .potentials import potential_values_batch
 
 _CHUNK = 512
 
@@ -67,12 +67,6 @@ def _sorted_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     order = np.argsort(block, axis=1)
     return np.take_along_axis(block, order, axis=1), order
-
-
-def _check_dims(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet) -> None:
-    if X.d != Y.d or X.d != dirs.d:
-        raise ValueError(
-            f"dimension mismatch: X d={X.d}, Y d={Y.d}, dirs d={dirs.d}")
 
 
 def _project_sorted(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray,
@@ -124,7 +118,9 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     after all workers finish, so the output does not depend on the worker
     count.
     """
-    _check_dims(X, Y, dirs)
+    if X.d != Y.d or X.d != dirs.d:
+        raise ValueError(
+            f"dimension mismatch: X d={X.d}, Y d={Y.d}, dirs d={dirs.d}")
     k = dirs.k
     starts = range(0, k, _CHUNK)
 
@@ -183,21 +179,6 @@ def w_hat_sq(est: SlicedEstimate) -> float:
     if est.k < 2:
         raise ValueError("w_hat_sq needs at least 2 directions")
     return float(np.var(est.per_direction))
-
-
-def potential_table(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
-                    p: float = 2.0) -> PotentialTable:
-    """Potentials for the cost |s - t|^p per direction, at original points.
-
-    Row l holds the optimal potential for direction l evaluated at the
-    projections of X's rows in input order, transporting X's projected
-    empirical measure onto Y's.
-    """
-    _check_dims(X, Y, dirs)
-    sx, sy, ox, _ = _project_sorted(X, Y, dirs.dirs, True)
-    phi = np.empty_like(sx)
-    np.put_along_axis(phi, ox, potential_values_batch(sx, sy, p), axis=1)
-    return PotentialTable(phi=phi)
 
 
 def v_hat_sq(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,

@@ -70,10 +70,10 @@ class DirectionSet:
 
     def __post_init__(self):
         dirs = np.ascontiguousarray(self.dirs, dtype=np.float64)
-        if dirs.ndim != 2 or dirs.shape[0] != self.k:
-            raise ValueError("dirs must be a (k, d) matrix")
+        if dirs.ndim != 2 or dirs.shape[0] != self.k or self.k < 1:
+            raise ValueError("dirs must be a (k, d) matrix with k >= 1")
         norms = np.sqrt(np.einsum("ij,ij->i", dirs, dirs))
-        if np.abs(norms - 1.0).max() > _NORM_TOL:
+        if not (np.abs(norms - 1.0) <= _NORM_TOL).all():  # NaN fails too
             raise ValueError("direction rows must have unit norm")
         object.__setattr__(self, "dirs", dirs)
 

@@ -132,11 +132,3 @@ def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float) -> np.ndarray:
         diff -= T[:, j0]
     return _pow_cost(diff, p) @ mass
 
-
-def quantile(s: SortedProjection, u: float) -> float:
-    """Left-continuous empirical quantile s_(ceil(u * n)) for u in (0, 1)."""
-    u = float(u)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie strictly inside (0, 1), got {u}")
-    idx = max(int(math.ceil(u * s.n)), 1)
-    return float(s.values[idx - 1])

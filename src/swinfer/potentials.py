@@ -17,8 +17,6 @@ unchanged up to rounding, with nothing large squared before it cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .ot1d import SortedProjection, _pow_cost, wasserstein_pp
@@ -26,27 +24,6 @@ from .ot1d import SortedProjection, _pow_cost, wasserstein_pp
 # bytes of upper-cost rows built at a time by ``potential_values_batch``;
 # small enough that a block's operands stay in a core's L2 cache
 _BLOCK_BYTES = 256 * 1024
-
-
-@dataclass(frozen=True, eq=False)
-class PotentialTable:
-    """Per-direction potential values at the original source points.
-
-    ``phi[l][i]`` is the optimal potential for direction l evaluated at the
-    projection of the i-th source observation in input order, fixed to 0
-    at the smallest projection; every consumer in this package is
-    invariant to that additive constant.
-    """
-
-    phi: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.phi.shape[1]
 
 
 def row_assignment(n: int, m: int) -> np.ndarray:

@@ -16,6 +16,8 @@ are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import sqrt
@@ -32,6 +34,51 @@ from .ot1d import _check_p
 # substream ids 0..15 are reserved for direct CLI use
 _STREAM_BASE = 16
 _ROLE_X, _ROLE_Y, _ROLE_DIRS, _ROLE_CELL_DIRS = 0, 1, 2, 3
+# bin count of each cell's statistic histogram
+_HIST_BINS = 40
+
+
+def _plan_int(value) -> int:
+    """An integer; a fraction, a boolean or a string is refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"must be an integer, got {value!r}")
+
+
+def _plan_real(value) -> float:
+    """A finite real number; a string, a boolean, NaN or an infinity is refused."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"must be a finite real number, got {value!r}")
+
+
+def _plan_list(value, item) -> tuple:
+    """A list or a tuple, each entry checked by ``item``."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"must be a list, got {value!r}")
+    return tuple(item(entry) for entry in value)
+
+
+def _plan_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+# every plan field's check, which also converts the value it accepts; a float
+# p goes straight to ``_check_p``, which refuses NaN and infinity as an order p
+_PLAN_CHECKS = {
+    "d": _plan_int, "n": _plan_int, "m": _plan_int,
+    "k_values": lambda value: _plan_list(value, _plan_int),
+    "h_values": lambda value: _plan_list(value, _plan_real),
+    "delta": _plan_real, "replications": _plan_int, "master_seed": _plan_int,
+    "p": lambda value: _check_p(value if isinstance(value, float)
+                                else _plan_real(value)),
+    "level": _plan_real, "reuse_directions": _plan_bool,
+}
 
 
 @dataclass(frozen=True)
@@ -51,11 +98,12 @@ class SimulationPlan:
     reuse_directions: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "k_values",
-                           tuple(int(k) for k in self.k_values))
-        object.__setattr__(self, "h_values",
-                           tuple(float(h) for h in self.h_values))
-        object.__setattr__(self, "p", _check_p(self.p))
+        for name, check in _PLAN_CHECKS.items():
+            try:
+                value = check(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError(f"plan field {name!r}: {exc}") from None
+            object.__setattr__(self, name, value)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not 0.0 < self.level < 1.0:
@@ -134,8 +182,7 @@ def _one_replication(plan: SimulationPlan, cell_index: int, rep_index: int,
     return report.statistic
 
 
-def run_plan(plan: SimulationPlan, threads: int = 1,
-             hist_bins: int = 40) -> SimulationResult:
+def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     """Execute every replication of every cell of a plan.
 
     Parameters
@@ -144,14 +191,13 @@ def run_plan(plan: SimulationPlan, threads: int = 1,
     threads : int
         Worker bound; the result is bit-identical for every value because
         replications are independent and reductions run in index order.
-    hist_bins : int
-        Bin count for the per-cell statistic histogram.
 
     Returns
     -------
     SimulationResult
         Per cell: the statistic vector (degenerate replications excluded
-        with a count), the rejection rate at the plan level, histogram data.
+        with a count), the rejection rate at the plan level, and a histogram
+        of ``_HIST_BINS`` equal-width bins.
     """
     tasks = [(ci, ri, k, h)
              for ci, (k, h) in enumerate(plan.cells)
@@ -177,7 +223,7 @@ def run_plan(plan: SimulationPlan, threads: int = 1,
         excluded = plan.replications - stats.size
         if stats.size:
             rate = float(np.mean(np.abs(stats) > q))
-            edges, counts = histogram(stats, hist_bins)
+            edges, counts = histogram(stats, _HIST_BINS)
         else:
             rate = float("nan")
             edges, counts = np.zeros(1), np.zeros(0, dtype=np.int64)

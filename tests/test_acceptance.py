@@ -12,11 +12,12 @@ import time
 
 import numpy as np
 import pytest
+from potential_reference import potential_rows
 
 from swinfer.distributions import (GaussianSpec, gaussian_quantile_density,
                                    gaussian_sw2_meanshift, j_alpha,
                                    sample_gaussian, uniform_quantile_density)
-from swinfer.estimators import potential_table, sliced_estimate, v_hat_sq, w_hat_sq
+from swinfer.estimators import sliced_estimate, v_hat_sq, w_hat_sq
 from swinfer.geometry import sample_directions
 from swinfer.inference import analyze
 from swinfer.ot1d import sort_projection, wasserstein_pp
@@ -209,8 +210,7 @@ def test_criterion_10_variance_estimator_identities():
                             stream_id=_S + 5001)
         dirs = sample_directions(d, k, seed=trial, stream_id=_S + 5002)
 
-        table = potential_table(X, Y, dirs)
-        rows = table.phi
+        rows = potential_rows(X, Y, dirs)
         centered = rows - rows.mean(axis=1, keepdims=True)
         double_sum = float((centered @ centered.T).sum()) / (k * k * n)
         collapsed = v_hat_sq(X, Y, dirs)

@@ -6,9 +6,11 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy.integrate import IntegrationWarning, quad
 from scipy.special import beta as beta_fn
+from scipy.special import ndtri
 
+from swinfer._rng import _doubles_from_raw
 from swinfer.distributions import (GaussianSpec, JAlphaResult,
-                                   QuadratureConfig, gaussian_quantile_density,
+                                   gaussian_quantile_density,
                                    gaussian_sw2_meanshift, j_alpha,
                                    sample_gaussian, uniform_quantile_density)
 
@@ -46,6 +48,20 @@ def test_sampling_rows_are_prefix_stable():
 def test_sampling_needs_two_rows():
     with pytest.raises(ValueError):
         sample_gaussian(GaussianSpec(mean=np.zeros(2)), 1, seed=0)
+
+
+def test_uniforms_stay_below_one():
+    # (2^53 - 1) + 0.5 rounds up to 2^53: unclamped, the top 2^11 raw words
+    # give u = 1.0 exactly and a Gaussian variate of +inf
+    raw = np.array([0, 1 << 63, (1 << 64) - (1 << 11), (1 << 64) - 1],
+                   dtype=np.uint64)
+    u = _doubles_from_raw(raw)
+    assert (u < 1.0).all()
+    assert u[-1] == 1.0 - 2.0 ** -53
+    assert np.isfinite(ndtri(u)).all()
+    # below the top words nothing moves
+    assert u[0] == 0.5 * 2.0 ** -53
+    assert u[1] == 0.5 + 0.5 * 2.0 ** -53
 
 
 def test_sampling_moments():
@@ -154,24 +170,3 @@ def test_j_alpha_result_is_plain_float():
     out = j_alpha(uniform_quantile_density, 2.0)
     assert isinstance(out, JAlphaResult)
     assert type(out.value) is float
-
-
-def test_quadrature_config_validation():
-    cfg = QuadratureConfig(epsilon_sequence=(1e-2, 1e-4, 1e-8), points_per_level=16)
-    assert cfg.epsilon_sequence == (1e-2, 1e-4, 1e-8)
-    with pytest.raises(ValueError):
-        QuadratureConfig(epsilon_sequence=(1e-4, 1e-2))
-    with pytest.raises(ValueError):
-        QuadratureConfig(epsilon_sequence=(0.6, 1e-3))
-    with pytest.raises(ValueError):
-        QuadratureConfig(epsilon_sequence=(1e-3,))
-    with pytest.raises(ValueError):
-        QuadratureConfig(points_per_level=1)
-
-
-def test_j_alpha_honors_custom_ladder():
-    # a ladder stopping at 1e-4 cannot see far enough into the normal tail
-    # to rule either way, but it must still return a finite value
-    shallow = QuadratureConfig(epsilon_sequence=(1e-2, 1e-3, 1e-4))
-    out = j_alpha(gaussian_quantile_density, 1.5, cfg=shallow)
-    assert math.isfinite(out.value)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from potential_reference import potential_rows
 
 from swinfer.estimators import (SlicedEstimate, combined_variance,
-                                potential_table, sliced_estimate, v_hat_sq,
-                                w_hat_sq)
+                                sliced_estimate, v_hat_sq, w_hat_sq)
 from swinfer.geometry import as_sample_matrix, sample_directions
 from swinfer.ot1d import sort_projection, wasserstein_pp
 
@@ -16,9 +16,8 @@ def make_pair(seed, n=40, m=30, d=4, shift=0.7):
     return X, Y
 
 
-def double_sum_variance(table):
+def double_sum_variance(rows):
     """Explicit (1/k^2) sum over direction pairs of empirical covariances."""
-    rows = table.phi
     centered = rows - rows.mean(axis=1, keepdims=True)
     cov = centered @ centered.T / rows.shape[1]
     return float(cov.sum()) / rows.shape[0] ** 2
@@ -151,9 +150,9 @@ def test_gaussian_meanshift_dispersion_formula():
 def test_v_hat_sq_single_direction_collapse():
     X, Y = make_pair(10)
     dirs = sample_directions(4, 1, seed=11)
-    table = potential_table(X, Y, dirs)
+    rows = potential_rows(X, Y, dirs)
     assert v_hat_sq(X, Y, dirs) == pytest.approx(
-        float(np.var(table.phi[0])), rel=1e-12)
+        float(np.var(rows[0])), rel=1e-12)
 
 
 def test_v_hat_sq_equals_double_sum():
@@ -162,21 +161,21 @@ def test_v_hat_sq_equals_double_sum():
         X, Y = make_pair(20 + seed, n=n, m=m, d=3)
         dirs = sample_directions(3, k, seed=seed)
         for p in (1.5, 2.0, 3.0):
-            table = potential_table(X, Y, dirs, p)
+            rows = potential_rows(X, Y, dirs, p)
             collapsed = v_hat_sq(X, Y, dirs, p)
-            explicit = double_sum_variance(table)
+            explicit = double_sum_variance(rows)
             assert collapsed == pytest.approx(explicit, rel=1e-12, abs=1e-12)
 
 
 def test_v_hat_sq_constant_shift_invariance():
     X, Y = make_pair(30)
     dirs = sample_directions(4, 8, seed=12)
-    table = potential_table(X, Y, dirs)
-    g = table.phi.mean(axis=0)
+    rows = potential_rows(X, Y, dirs)
+    g = rows.mean(axis=0)
     base = float(np.var(g))
     rng = np.random.default_rng(13)
     shifts = rng.normal(0, 5, size=(dirs.k, 1))
-    shifted = float(np.var((table.phi + shifts).mean(axis=0)))
+    shifted = float(np.var((rows + shifts).mean(axis=0)))
     assert abs(shifted - base) <= 1e-12
     assert base == pytest.approx(v_hat_sq(X, Y, dirs), rel=1e-12, abs=1e-15)
 
@@ -184,9 +183,9 @@ def test_v_hat_sq_constant_shift_invariance():
 def test_v_hat_sq_swapped_roles_runs_same_code_path():
     X, Y = make_pair(31)
     dirs = sample_directions(4, 6, seed=14)
-    table_qp = potential_table(Y, X, dirs)
+    rows_qp = potential_rows(Y, X, dirs)
     assert v_hat_sq(Y, X, dirs) == pytest.approx(
-        float(np.var(table_qp.phi.mean(axis=0))), rel=1e-12, abs=1e-15)
+        float(np.var(rows_qp.mean(axis=0))), rel=1e-12, abs=1e-15)
 
 
 def test_v_hat_sq_d1_location_shift():

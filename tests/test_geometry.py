@@ -23,6 +23,16 @@ def test_direction_set_rejects_non_unit_rows():
         DirectionSet(dirs=bad, k=2, seed=0, stream_id=0)
 
 
+def test_direction_set_rejects_non_finite_rows():
+    # a NaN norm fails no "> tol" test; accepted, it makes analyze fail
+    # later on a NaN w_hat_sq
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="unit norm"):
+            DirectionSet(dirs=[[bad, 0.0], [1.0, 0.0]], k=2, seed=0, stream_id=0)
+    with pytest.raises(ValueError, match="k >= 1"):
+        DirectionSet(dirs=np.zeros((0, 2)), k=0, seed=0, stream_id=0)
+
+
 def test_unit_norms():
     dirs = sample_directions(5, 100, seed=42)
     norms = np.linalg.norm(dirs.dirs, axis=1)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from swinfer.ot1d import _cell_arrays, quantile, sort_projection, wasserstein_pp
+from swinfer.ot1d import _cell_arrays, sort_projection, wasserstein_pp
 
 
 def brute_cells(n, m):
@@ -171,27 +171,3 @@ def test_scaling_by_positive_factor(xs, ys, a, p):
     scaled = wasserstein_pp(sort_projection(a * np.array(xs)),
                             sort_projection(a * np.array(ys)), p)
     assert scaled == pytest.approx((a ** p) * base, rel=1e-12, abs=1e-12)
-
-
-def test_quantile_single_point():
-    s = sort_projection(np.array([5.0]))
-    assert quantile(s, 0.01) == 5.0
-    assert quantile(s, 0.99) == 5.0
-
-
-def test_quantile_step_boundary():
-    s = sort_projection(np.array([1.0, 2.0]))
-    assert quantile(s, 0.5) == 1.0
-    assert quantile(s, 0.51) == 2.0
-
-
-def test_quantile_three_quarters():
-    s = sort_projection(np.array([0.0, 1.0, 2.0, 3.0]))
-    assert quantile(s, 0.75) == 2.0
-
-
-def test_quantile_domain():
-    s = sort_projection(np.array([0.0, 1.0]))
-    for bad in (0.0, 1.0, -0.1, 1.1):
-        with pytest.raises(ValueError):
-            quantile(s, bad)

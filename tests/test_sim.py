@@ -36,6 +36,24 @@ def test_plan_validation():
             tiny_plan(p=p)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("k_values", (4.9,)), ("h_values", "05"), ("reuse_directions", "false"),
+    ("master_seed", 1.5)])
+def test_plan_refuses_coerced_fields(field, value):
+    # coerced, these would run k = 4, the cells h = 0 and h = 5, reuse on
+    # and a seed of 1.5
+    with pytest.raises(ValueError, match=f"plan field {field!r}"):
+        tiny_plan(**{field: value})
+
+
+def test_plan_converts_integral_values():
+    plan = tiny_plan(k_values=[4.0], h_values=[0, 1], replications=3.0,
+                     master_seed=np.int64(7))
+    assert plan.k_values == (4,) and type(plan.k_values[0]) is int
+    assert plan.h_values == (0.0, 1.0) and type(plan.h_values[0]) is float
+    assert type(plan.replications) is int and type(plan.master_seed) is int
+
+
 def test_plan_cell_ordering():
     plan = tiny_plan(k_values=(2, 8), h_values=(0.0, 0.5))
     assert plan.cells == [(2, 0.0), (2, 0.5), (8, 0.0), (8, 0.5)]
