@@ -29,6 +29,9 @@ from .ot1d import wasserstein_pp_batch
 from .potentials import potential_values_batch
 
 _CHUNK = 512
+# bytes of projected values (both samples) that ``_pass_chunk`` handles at a
+# time; small enough that a block and its intermediates stay in a core's L2
+_BLOCK_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,50 +58,48 @@ class VarianceComponents:
     combined: float
 
 
-def _sorted_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort each row, returning the sorted rows and the sort permutation.
+def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float,
+                potentials: bool):
+    """Costs and potential sums of one chunk: (costs, gx_sum, gy_sum).
 
-    The permutation comes from the default (unstable, vectorized) argsort, so
-    tied values may come out in any order. Callers only reduce potentials
-    back to input order through it, and tied source points always get equal
-    potentials at every p: the step across a tie is h(s - t) - h(s - t) for
-    the same floats, exactly 0. The reduced result therefore does not depend
-    on how ties are ordered.
-    """
-    order = np.argsort(block, axis=1)
-    return np.take_along_axis(block, order, axis=1), order
+    After the chunk's two projection GEMMs, the rows are walked in blocks
+    of ``_BLOCK_BYTES // (8 (n + m))`` directions (at least one), so that a
+    block's sorts, gathers, costs, potentials and scatter stay in cache.
+    Costs depend on the sorted values alone; without ``potentials`` each
+    block is sorted in place and the sums are None.
 
-
-def _project_sorted(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray,
-                    with_order: bool):
-    """Both samples projected on ``dir_rows``, rows sorted: (sx, sy, ox, oy).
-
-    Without ``with_order`` the permutations ``ox``, ``oy`` are None and the
-    projections, this call's own, are sorted in place.
+    Otherwise each block is argsorted with the default (unstable,
+    vectorized) sort, so tied values may come out in any order. The
+    potentials are only reduced back to input order through the
+    permutation, and tied source points always get equal potentials at
+    every p: the step across a tie is h(s - t) - h(s - t) for the same
+    floats, exactly 0. The sums therefore do not depend on how ties are
+    ordered.
     """
     px = dir_rows @ X.data.T
     py = dir_rows @ Y.data.T
-    if not with_order:
-        px.sort(axis=1)
-        py.sort(axis=1)
-        return px, py, None, None
-    sx, ox = _sorted_rows(px)
-    sy, oy = _sorted_rows(py)
-    return sx, sy, ox, oy
-
-
-def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float,
-                potentials: bool):
-    # costs depend on the sorted values alone; only the potentials need the
-    # permutations and their gathers
-    sx, sy, ox, oy = _project_sorted(X, Y, dir_rows, potentials)
-    costs = wasserstein_pp_batch(sx, sy, p)
-    if not potentials:
-        return costs, None, None
-    gx_sum = np.bincount(ox.ravel(), minlength=X.n,
-                         weights=potential_values_batch(sx, sy, p).ravel())
-    gy_sum = np.bincount(oy.ravel(), minlength=Y.n,
-                         weights=potential_values_batch(sy, sx, p).ravel())
+    (k, n), m = px.shape, Y.n
+    rows = max(1, _BLOCK_BYTES // (8 * (n + m)))
+    costs = np.empty(k)
+    gx_sum = np.zeros(n) if potentials else None
+    gy_sum = np.zeros(m) if potentials else None
+    for lo in range(0, k, rows):
+        bx, by = px[lo:lo + rows], py[lo:lo + rows]
+        if not potentials:
+            bx.sort(axis=1)
+            by.sort(axis=1)
+            costs[lo:lo + rows] = wasserstein_pp_batch(bx, by, p)
+            continue
+        ox = np.argsort(bx, axis=1)
+        oy = np.argsort(by, axis=1)
+        # one flat gather per side: a row offset turns each row's order
+        # into indices of the block's raveled (C-contiguous) values
+        at = np.arange(bx.shape[0])[:, None]
+        sx = bx.ravel().take(ox + at * n)
+        sy = by.ravel().take(oy + at * m)
+        costs[lo:lo + rows] = wasserstein_pp_batch(sx, sy, p)
+        np.add.at(gx_sum, ox.ravel(), potential_values_batch(sx, sy, p).ravel())
+        np.add.at(gy_sum, oy.ravel(), potential_values_batch(sy, sx, p).ravel())
     return costs, gx_sum, gy_sum
 
 
@@ -111,12 +112,13 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     potentials for the same cost |s - t|^p at X's and Y's rows in input
     order; without it they are None.
 
-    In a chunk, ``np.bincount`` adds each potential to its input-order slot,
-    from +0.0 and in direction order: the sums of the scattered array over
-    axis 0, bit for bit, as a potential is never -0.0. Chunk boundaries are
-    fixed by ``_CHUNK`` alone, and chunk results are reduced in chunk order
-    after all workers finish, so the output does not depend on the worker
-    count.
+    In a chunk, ``np.add.at`` adds each potential to its input-order slot,
+    from +0.0 and in direction order, block after block: the sums of the
+    scattered array over axis 0, bit for bit, as a potential is never -0.0,
+    whatever the block height (``np.add.at`` gives the same sums before
+    numpy 1.25, only several times slower). Chunk boundaries are fixed by
+    ``_CHUNK`` alone, and chunk results are reduced in chunk order after
+    all workers finish, so the output does not depend on the worker count.
     """
     if X.d != Y.d or X.d != dirs.d:
         raise ValueError(

@@ -120,15 +120,20 @@ def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float) -> np.ndarray:
 
     ``S`` has shape (k, n) and ``T`` shape (k, m), each row sorted; the
     result is the length-k vector of per-row costs.
+
+    The cell costs are built C-ordered (``take``; a fancy index would give
+    Fortran order), so ``sum(axis=1)`` reduces each contiguous row alone,
+    pairwise, exactly as ``wasserstein_pp`` sums one sample: every row's
+    cost equals the scalar path's bit for bit, whatever k is. A matrix
+    product with ``mass`` would pick its summation by the number of rows.
     """
     p = _check_p(p)
     i0, j0, mass = _cell_arrays(S.shape[1], T.shape[1])
-    # Fortran order, as a fancy-index gather gives, keeps ``@ mass`` on one
-    # BLAS path for every shape; another layout changes the last bits
     if S.shape[1] == T.shape[1]:
-        diff = np.subtract(S, T, order="F")
+        diff = np.subtract(S, T)
     else:
-        diff = S[:, i0]
-        diff -= T[:, j0]
-    return _pow_cost(diff, p) @ mass
-
+        diff = S.take(i0, axis=1)
+        diff -= T.take(j0, axis=1)
+    _pow_cost(diff, p)
+    diff *= mass
+    return diff.sum(axis=1)

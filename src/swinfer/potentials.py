@@ -21,10 +21,6 @@ import numpy as np
 
 from .ot1d import SortedProjection, _pow_cost, wasserstein_pp
 
-# bytes of upper-cost rows built at a time by ``potential_values_batch``;
-# small enough that a block's operands stay in a core's L2 cache
-_BLOCK_BYTES = 256 * 1024
-
 
 def row_assignment(n: int, m: int) -> np.ndarray:
     """Largest target rank coupled to each source rank, as 1-based ranks.
@@ -58,32 +54,27 @@ def potential_values_batch(S: np.ndarray, T: np.ndarray,
     ``S`` is (k, n) and ``T`` is (k, m), each row sorted. Returns the (k, n)
     matrix of phi values at the sorted source points, row by row.
 
-    The upper costs h(s_(i+1) - t_(r(i))) are built in one reused buffer of
-    at most ``_BLOCK_BYTES`` (at least one row), block by block, and
-    subtracted in place from the lower costs in the output. Each element
-    takes the same operations whatever the block size, so no bit depends
-    on it.
+    The lower costs h(s_(i) - t_(r(i))) are written into the output, the
+    upper costs h(s_(i+1) - t_(r(i))) into one scratch array, and each step
+    is their difference, cumulated along the row. Every element takes the
+    same operations whatever k is, so the direction pass may hand over its
+    rows in blocks of any height; it keeps them cache-sized.
     """
-    (k, n), m = S.shape, T.shape[1]
+    n, m = S.shape[1], T.shape[1]
     out = np.empty(S.shape)
     out[:, 0] = 0.0
     steps = out[:, 1:]
     # r(i) = i when m == n, so t_(r(i)) is a view and needs no gather.
     # ``take`` gathers in C order; a fancy index would give Fortran order,
     # and the mixed-layout arithmetic below runs about twice as slow.
-    ranks = None if m == n else row_assignment(n, m)[:-1] - 1
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    buf = np.empty((min(rows, k), n - 1))
-    for lo in range(0, k, rows):
-        hi = min(lo + rows, k)
-        upper = buf[:hi - lo]
-        if ranks is None:
-            t_r = T[lo:hi, :-1]
-        else:
-            t_r = T[lo:hi].take(ranks, axis=1, out=upper)
-        _pow_cost(np.subtract(S[lo:hi, :-1], t_r, out=steps[lo:hi]), p)
-        _pow_cost(np.subtract(S[lo:hi, 1:], t_r, out=upper), p)
-        np.subtract(upper, steps[lo:hi], out=steps[lo:hi])
+    if m == n:
+        t_r = T[:, :-1]
+        upper = None
+    else:
+        t_r = upper = T.take(row_assignment(n, m)[:-1] - 1, axis=1)
+    _pow_cost(np.subtract(S[:, :-1], t_r, out=steps), p)
+    upper = _pow_cost(np.subtract(S[:, 1:], t_r, out=upper), p)
+    np.subtract(upper, steps, out=steps)
     np.cumsum(steps, axis=1, out=steps)
     return out
 

@@ -1,20 +1,21 @@
 """Bit-identity of the direction-pass kernels against their reference forms.
 
 The batch kernels build their intermediates in place, and the pass sorts
-with an unstable argsort. Each test here compares the production code with
-the plain expressions it replaces using exact equality, on inputs chosen to
-stress ties: rounded data, duplicated rows, both signed zeros and
-axis-aligned directions.
+with an unstable argsort, block by block. Each test here compares the
+production code with the plain expressions it replaces using exact
+equality, on inputs chosen to stress ties: rounded data, duplicated rows,
+both signed zeros and axis-aligned directions.
 """
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from swinfer.estimators import _CHUNK, _direction_pass
+from swinfer import estimators
+from swinfer.estimators import _BLOCK_BYTES, _CHUNK, _direction_pass
 from swinfer.geometry import DirectionSet, as_sample_matrix
-from swinfer.ot1d import _cell_arrays, wasserstein_pp_batch
-from swinfer.potentials import _BLOCK_BYTES, potential_values_batch, row_assignment
+from swinfer.ot1d import _cell_arrays, sort_projection, wasserstein_pp, wasserstein_pp_batch
+from swinfer.potentials import potential_values_batch, row_assignment
 
 # single points, n == m, n > m and n < m, small and large
 SHAPES = [(1, 1), (1, 4), (7, 7), (7, 3), (3, 7), (300, 300), (300, 200)]
@@ -35,10 +36,14 @@ def assert_same_bits(got, want):
 
 
 def reference_cost(S, T, p):
+    """Each row's cost summed as ``wasserstein_pp`` sums one sample."""
     i0, j0, mass = _cell_arrays(S.shape[1], T.shape[1])
-    diff = S[:, i0] - T[:, j0]
-    cost = diff * diff if p == 2.0 else np.abs(diff) ** p
-    return cost @ mass
+    costs = []
+    for s, t in zip(S, T):
+        diff = s[i0] - t[j0]
+        row = diff * diff if p == 2.0 else np.abs(diff) ** p
+        costs.append(np.sum(row * mass))
+    return np.array(costs)
 
 
 def reference_potentials(S, T, p):
@@ -125,34 +130,87 @@ def test_potential_kernel_matches_reference_bitwise(n, m, p):
     assert_same_bits(got, reference_potentials(S, T, p))
 
 
-def block_rows(n):
-    """Rows of upper costs that ``potential_values_batch`` builds at a time."""
-    return max(1, _BLOCK_BYTES // (8 * n))
+def block_rows(n, m):
+    """Directions that the pass handles at a time, at most a whole chunk."""
+    return min(_CHUNK, max(1, _BLOCK_BYTES // (8 * (n + m))))
 
 
-# n == m, n > m, n < m and the 0-column steps of a single source point
-BLOCK_SHAPES = [(300, 300), (300, 200), (200, 300), (7, 3), (1, 1), (1, 4)]
-# a row wider than one block, so every block holds a single row
+def random_pass_inputs(rng, n, m, d, k):
+    X = as_sample_matrix(np.round(rng.normal(0.0, 1.0, (n, d)), 1))
+    Y = as_sample_matrix(np.round(rng.normal(0.5, 2.0, (m, d)), 1))
+    z = rng.normal(size=(k, d))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return X, Y, DirectionSet(dirs=z, k=k, seed=0, stream_id=0)
+
+
+def assert_pass_matches_reference(X, Y, dirs, p):
+    want = reference_pass(X, Y, dirs, p)
+    est, g_x, g_y = _direction_pass(X, Y, dirs, p, True, 1)
+    for got, w in zip((est.per_direction, g_x, g_y), want):
+        assert_same_bits(got, w)
+
+
+# n == m, n > m, n < m and the smallest samples, whose blocks are whole
+# chunks; a sample has at least 2 points, so the kernels' 0-column steps of
+# a single source point are pinned by the kernel tests above
+BLOCK_SHAPES = [(300, 300), (300, 200), (200, 300), (7, 3), (2, 2), (2, 5)]
+# one sample wider than a block, so every block holds a single direction
 WIDE = _BLOCK_BYTES // 8 + 1
 
 
 @pytest.mark.parametrize("n,m,p", at_exponents(BLOCK_SHAPES))
 def test_potential_kernel_crosses_block_boundaries(n, m, p):
-    rows = block_rows(n)
-    k = 2 * rows + rows // 2 + 1  # two full blocks and a ragged last one
+    """The kernels as the pass runs them: two full blocks and a ragged one."""
+    rows = block_rows(n, m)
+    k = 2 * rows + rows // 2 + 1
     rng = np.random.default_rng(1000 * n + m + 11)
-    S = sorted_stack(rng, k, n, 0)
-    T = sorted_stack(rng, k, m, 1)
-    assert_same_bits(potential_values_batch(S, T, p), reference_potentials(S, T, p))
+    assert_pass_matches_reference(*random_pass_inputs(rng, n, m, 3, k), p)
 
 
 @pytest.mark.parametrize("n,m,p", at_exponents([(WIDE, WIDE), (WIDE, WIDE - 3)]))
 def test_potential_kernel_single_row_blocks(n, m, p):
-    assert block_rows(n) == 1
+    """The kernels as the pass runs them, one direction per block."""
+    assert block_rows(n, m) == 1
     rng = np.random.default_rng(n + m)
-    S = sorted_stack(rng, 3, n, 0)
-    T = sorted_stack(rng, 3, m, 1)
-    assert_same_bits(potential_values_batch(S, T, p), reference_potentials(S, T, p))
+    assert_pass_matches_reference(*random_pass_inputs(rng, n, m, 2, 3), p)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_pass_costs_equal_scalar_path(p, threads):
+    """Every per-direction cost is the scalar ``wasserstein_pp`` of the same
+    projections, bit for bit, over random shapes and block heights."""
+    rng = np.random.default_rng(int(10 * p) + threads)
+    for _ in range(10):
+        n, m, d = rng.integers(2, 400), rng.integers(2, 400), rng.integers(1, 9)
+        X, Y, dirs = random_pass_inputs(rng, n, m, d, _CHUNK + rng.integers(1, 100))
+        est = _direction_pass(X, Y, dirs, p, False, threads)[0]
+        # the projections are the pass's own chunk products: a single
+        # direction's matrix-vector product may round differently
+        want = []
+        for lo in range(0, dirs.k, _CHUNK):
+            rows = dirs.dirs[lo:lo + _CHUNK]
+            want += [wasserstein_pp(sort_projection(px), sort_projection(py), p)
+                     for px, py in zip(rows @ X.data.T, rows @ Y.data.T)]
+        assert_same_bits(est.per_direction, np.array(want))
+
+
+@pytest.mark.parametrize("n,m,p", at_exponents([(60, 60), (90, 41), (41, 90), (2, 5)]))
+def test_pass_is_block_invariant(n, m, p, monkeypatch):
+    """One direction per block, the default and one block per chunk give
+    the same costs and potential sums, bit for bit."""
+    rng = np.random.default_rng(n * m + 3)
+    X, Y, dirs = random_pass_inputs(rng, n, m, 4, _CHUNK + 77)
+    results = []
+    for block_bytes in (8, _BLOCK_BYTES, 2 ** 30):
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
+        est, g_x, g_y = _direction_pass(X, Y, dirs, p, True, 2)
+        plain = _direction_pass(X, Y, dirs, p, False, 1)[0]
+        assert_same_bits(plain.per_direction, est.per_direction)
+        results.append((est.per_direction, g_x, g_y))
+    for got in results[1:]:
+        for a, b in zip(got, results[0]):
+            assert_same_bits(a, b)
 
 
 @pytest.mark.parametrize("n,m,threads,p", at_exponents(
