@@ -58,6 +58,23 @@ class VarianceComponents:
     combined: float
 
 
+def _sorted_order(block: np.ndarray):
+    """(sorted rows, their sorting permutation); see ``_pass_chunk``."""
+    n = block.shape[1]
+    low = (1 << max(1, (n - 1).bit_length())) - 1
+    order = block.view(np.int64) & ~low
+    order |= np.arange(n)
+    order.view(np.float64).sort(axis=1)
+    order &= low
+    # a row offset turns each row's order into indices of the raveled block
+    at = np.arange(block.shape[0])[:, None] * n
+    s = block.ravel().take(order + at)
+    if not (s[:, 1:] >= s[:, :-1]).all():
+        order = np.argsort(block, axis=1)
+        s = block.ravel().take(order + at)
+    return s, order
+
+
 def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float,
                 potentials: bool):
     """Costs and potential sums of one chunk: (costs, gx_sum, gy_sum).
@@ -68,13 +85,21 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     Costs depend on the sorted values alone; without ``potentials`` each
     block is sorted in place and the sums are None.
 
-    Otherwise each block is argsorted with the default (unstable,
-    vectorized) sort, so tied values may come out in any order. The
-    potentials are only reduced back to input order through the
-    permutation, and tied source points always get equal potentials at
-    every p: the step across a tie is h(s - t) - h(s - t) for the same
-    floats, exactly 0. The sums therefore do not depend on how ties are
-    ordered.
+    Otherwise ``_sorted_order`` gets each row's permutation from a value
+    sort, several times faster than an argsort. With b = max(1, bit
+    length of n - 1), a key is the value with its low b bits replaced by
+    its column index; clearing them truncates toward zero, which is
+    monotone. A row's keys are distinct, so they sort as floats in one
+    order whatever the algorithm, and their low bits are the permutation.
+    Only distinct values in one bucket of 2^b ulp can come out of order
+    (by index, reversed below zero); a block whose gathered rows are not
+    nondecreasing, as then or with a NaN, is argsorted instead.
+
+    Any sorting permutation gives the same values, up to the sign of a
+    zero, which no cost or potential sees. Tied source points always get
+    equal potentials at every p: the step across a tie is h(s - t) -
+    h(s - t) for the same floats, exactly 0. So the sums do not depend on
+    which permutation sorts a row.
     """
     px = dir_rows @ X.data.T
     py = dir_rows @ Y.data.T
@@ -90,13 +115,8 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
             by.sort(axis=1)
             costs[lo:lo + rows] = wasserstein_pp_batch(bx, by, p)
             continue
-        ox = np.argsort(bx, axis=1)
-        oy = np.argsort(by, axis=1)
-        # one flat gather per side: a row offset turns each row's order
-        # into indices of the block's raveled (C-contiguous) values
-        at = np.arange(bx.shape[0])[:, None]
-        sx = bx.ravel().take(ox + at * n)
-        sy = by.ravel().take(oy + at * m)
+        sx, ox = _sorted_order(bx)
+        sy, oy = _sorted_order(by)
         costs[lo:lo + rows] = wasserstein_pp_batch(sx, sy, p)
         np.add.at(gx_sum, ox.ravel(), potential_values_batch(sx, sy, p).ravel())
         np.add.at(gy_sum, oy.ravel(), potential_values_batch(sy, sx, p).ravel())
@@ -136,6 +156,9 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
         parts = [work(lo) for lo in starts]
 
     per_direction = np.concatenate([costs for costs, _, _ in parts])
+    if not np.isfinite(per_direction).all():
+        raise ValueError("the projected transport cost overflows float64; "
+                         "rescale the data")
     est = SlicedEstimate(sw_pp=float(np.mean(per_direction)),
                          per_direction=per_direction,
                          p=float(p), n=X.n, m=Y.n, k=k)

@@ -150,6 +150,18 @@ def test_degenerate_variance_exits_3(data, tmp_path):
     assert "variance" in proc.stderr
 
 
+def test_overflowing_costs_exit_2(tmp_path):
+    rng = np.random.default_rng(31)
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    np.savetxt(x, rng.normal(0.0, 1.0, (60, 3)) * 1e307, delimiter=",")
+    np.savetxt(y, rng.normal(0.0, 1.0, (50, 3)) * 1e307, delimiter=",")
+    for extra in (("estimate",), ("test", "--delta", "0.5")):
+        proc = run_cli(*extra, "--x", str(x), "--y", str(y), "--k", "16")
+        assert proc.returncode == 2, proc.stderr
+        assert "overflows float64" in proc.stderr
+        assert "rescale" in proc.stderr
+
+
 def test_env_fallback_and_flag_priority(data):
     env = {"SWINFER_K": "8", "SWINFER_SEED": "5"}
     proc = run_cli("estimate", "--x", data["x"], "--y", data["y"],

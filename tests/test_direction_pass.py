@@ -1,10 +1,11 @@
 """Bit-identity of the direction-pass kernels against their reference forms.
 
 The batch kernels build their intermediates in place, and the pass sorts
-with an unstable argsort, block by block. Each test here compares the
-production code with the plain expressions it replaces using exact
-equality, on inputs chosen to stress ties: rounded data, duplicated rows,
-both signed zeros and axis-aligned directions.
+block by block through a value sort of index-tagged keys, falling back to
+an unstable argsort. Each test here compares the production code with the
+plain expressions it replaces using exact equality, on inputs chosen to
+stress ties and the keys: rounded data, duplicated rows, both signed
+zeros, subnormals, near neighbours and axis-aligned directions.
 """
 
 import numpy as np
@@ -226,3 +227,69 @@ def test_tie_heavy_pass_matches_stable_reference(n, m, threads, p):
     est, g_x, g_y = _direction_pass(X, Y, dirs, p, True, threads)
     for g, w in zip((est.per_direction, g_x, g_y), want):
         assert_same_bits(g, w)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Counts the pass's argsort fallbacks: its unkeyed ``np.argsort`` calls."""
+    calls = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return lambda: calls.count(None)
+
+
+def line_pass_inputs(x, y, k=6):
+    """1-d samples seen along +1 and -1, so the projections are the data
+    and their negations, exactly."""
+    rows = np.resize([[1.0], [-1.0]], (k, 1))
+    return (as_sample_matrix(np.asarray(x)[:, None]),
+            as_sample_matrix(np.asarray(y)[:, None]),
+            DirectionSet(dirs=rows, k=k, seed=0, stream_id=0))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_key_sort_falls_back_on_reversed_neighbours(p, fallbacks):
+    """x and the next float up, in reversed index order, share a key bucket,
+    so the value sort leaves them reversed and the block is argsorted."""
+    rng = np.random.default_rng(41)
+    x = np.round(rng.normal(0.0, 2.0, 30), 1)
+    x[7], x[19] = np.nextafter(1.0, np.inf), 1.0
+    inputs = line_pass_inputs(x, np.round(rng.normal(0.5, 1.0, 20), 1))
+    assert_pass_matches_reference(*inputs, p)
+    assert fallbacks() > 0
+
+
+@pytest.mark.parametrize("p", [1.01, 1.5, 2.0])
+def test_key_sort_signed_zeros_subnormals_and_extremes(p, fallbacks):
+    """Both zeros, subnormals and values near the float64 limit; p = 1.01
+    keeps the costs of values 1e300 apart finite."""
+    big = 1e300 if p < 1.1 else 1e100
+    pool = np.array([0.0, -0.0, 1e-310, -1e-310, 3e-310, big, -big, 1.0, -2.5])
+    rng = np.random.default_rng(int(100 * p))
+    inputs = line_pass_inputs(rng.choice(pool, 40), rng.choice(pool, 25))
+    assert_pass_matches_reference(*inputs, p)
+    assert fallbacks() == 0
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_key_sort_all_equal_rows(p, fallbacks):
+    assert_pass_matches_reference(*line_pass_inputs(np.full(33, 0.3),
+                                                    np.full(17, -1.25)), p)
+    assert fallbacks() == 0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4096, 4097])
+def test_key_sort_index_widths(n, fallbacks):
+    """Sample sizes on both sides of a change in the index's bit length."""
+    rng = np.random.default_rng(n)
+    X, Y, dirs = random_pass_inputs(rng, n, n + 1, 3, 5)
+    for p in (1.5, 2.0, 3.0):
+        assert_pass_matches_reference(X, Y, dirs, p)
+    X = as_sample_matrix(rng.normal(0.0, 1.0, (n, 3)))
+    assert_pass_matches_reference(X, Y, dirs, 2.0)
+    assert fallbacks() == 0

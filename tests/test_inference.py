@@ -167,3 +167,17 @@ def test_analyze_degenerate_data_raises():
     dirs = sample_directions(2, 3, seed=11)
     with pytest.raises(DegenerateVarianceError):
         analyze(X, Y, dirs, delta=0.5)
+
+
+
+def test_overflowing_costs_raise():
+    """Finite samples near the float64 limit, whose projected costs overflow."""
+    rng = np.random.default_rng(31)
+    X = as_sample_matrix(rng.normal(0.0, 1.0, (60, 3)) * 1e307)
+    Y = as_sample_matrix(rng.normal(0.0, 1.0, (50, 3)) * 1e307)
+    dirs = sample_directions(3, 16, seed=12)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="overflows float64.*rescale"):
+            sliced_estimate(X, Y, dirs)
+        with pytest.raises(ValueError, match="overflows float64.*rescale"):
+            analyze(X, Y, dirs, p=1.5)
