@@ -65,11 +65,12 @@ def _sorted_order(block: np.ndarray):
     order = block.view(np.int64) & ~low
     order |= np.arange(n)
     order.view(np.float64).sort(axis=1)
+    nan = np.isnan(order.view(np.float64)[:, -1]).any()
     order &= low
     # a row offset turns each row's order into indices of the raveled block
     at = np.arange(block.shape[0])[:, None] * n
     s = block.ravel().take(order + at)
-    if not (s[:, 1:] >= s[:, :-1]).all():
+    if nan or not (s[:, 1:] >= s[:, :-1]).all():
         order = np.argsort(block, axis=1)
         s = block.ravel().take(order + at)
     return s, order
@@ -92,8 +93,9 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     monotone. A row's keys are distinct, so they sort as floats in one
     order whatever the algorithm, and their low bits are the permutation.
     Only distinct values in one bucket of 2^b ulp can come out of order
-    (by index, reversed below zero); a block whose gathered rows are not
-    nondecreasing, as then or with a NaN, is argsorted instead.
+    (by index, reversed below zero), seen as gathered rows out of order;
+    an inf or NaN keyed with an index is a NaN, sorted last, whose index a
+    SIMD sort may drop. Either way the block is argsorted instead.
 
     Any sorting permutation gives the same values, up to the sign of a
     zero, which no cost or potential sees. Tied source points always get

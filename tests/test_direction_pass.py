@@ -153,19 +153,23 @@ def assert_pass_matches_reference(X, Y, dirs, p):
 
 # n == m, n > m, n < m and the smallest samples, whose blocks are whole
 # chunks; a sample has at least 2 points, so the kernels' 0-column steps of
-# a single source point are pinned by the kernel tests above
-BLOCK_SHAPES = [(300, 300), (300, 200), (200, 300), (7, 3), (2, 2), (2, 5)]
+# a single source point are pinned by the kernel tests above. (2, 2), (3, 4)
+# and (4096, 4097) put n on both sides of a change in the key sort's index width
+BLOCK_SHAPES = [(300, 300), (300, 200), (200, 300), (7, 3), (2, 2), (2, 5), (3, 4),
+                (4096, 4097)]
 # one sample wider than a block, so every block holds a single direction
 WIDE = _BLOCK_BYTES // 8 + 1
 
 
 @pytest.mark.parametrize("n,m,p", at_exponents(BLOCK_SHAPES))
-def test_potential_kernel_crosses_block_boundaries(n, m, p):
-    """The kernels as the pass runs them: two full blocks and a ragged one."""
+def test_potential_kernel_crosses_block_boundaries(n, m, p, fallbacks):
+    """The kernels as the pass runs them: two full blocks and a ragged one,
+    each sorted by its keys alone."""
     rows = block_rows(n, m)
     k = 2 * rows + rows // 2 + 1
     rng = np.random.default_rng(1000 * n + m + 11)
     assert_pass_matches_reference(*random_pass_inputs(rng, n, m, 3, k), p)
+    assert fallbacks() == 0
 
 
 @pytest.mark.parametrize("n,m,p", at_exponents([(WIDE, WIDE), (WIDE, WIDE - 3)]))
@@ -283,13 +287,14 @@ def test_key_sort_all_equal_rows(p, fallbacks):
     assert fallbacks() == 0
 
 
-@pytest.mark.parametrize("n", [2, 3, 4096, 4097])
-def test_key_sort_index_widths(n, fallbacks):
-    """Sample sizes on both sides of a change in the index's bit length."""
-    rng = np.random.default_rng(n)
-    X, Y, dirs = random_pass_inputs(rng, n, n + 1, 3, 5)
-    for p in (1.5, 2.0, 3.0):
-        assert_pass_matches_reference(X, Y, dirs, p)
-    X = as_sample_matrix(rng.normal(0.0, 1.0, (n, 3)))
-    assert_pass_matches_reference(X, Y, dirs, 2.0)
-    assert fallbacks() == 0
+@pytest.mark.parametrize("potentials", [True, False])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_overflowing_projection_raises(sign, potentials):
+    """A finite point whose projection overflows to inf, keyed with index 1,
+    is a NaN key; the pass must still see the infinite cost."""
+    X = as_sample_matrix(np.array([[0.0, 0.0], [1.5e308, 1.5e308]]) * sign)
+    Y = as_sample_matrix(np.zeros((2, 2)))
+    dirs = DirectionSet(dirs=np.array([[0.6, 0.8]]), k=1, seed=0, stream_id=0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="overflows float64.*rescale"):
+            _direction_pass(X, Y, dirs, 2.0, potentials, 1)

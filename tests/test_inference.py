@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swinfer.estimators import combined_variance, sliced_estimate, v_hat_sq, w_hat_sq
-from swinfer.geometry import as_sample_matrix, sample_directions
+from swinfer.geometry import DirectionSet, as_sample_matrix, sample_directions
 from swinfer.inference import (DegenerateVarianceError, analyze,
                                confidence_interval, effective_rate,
                                two_sided_pvalue)
@@ -169,7 +169,6 @@ def test_analyze_degenerate_data_raises():
         analyze(X, Y, dirs, delta=0.5)
 
 
-
 def test_overflowing_costs_raise():
     """Finite samples near the float64 limit, whose projected costs overflow."""
     rng = np.random.default_rng(31)
@@ -181,3 +180,17 @@ def test_overflowing_costs_raise():
             sliced_estimate(X, Y, dirs)
         with pytest.raises(ValueError, match="overflows float64.*rescale"):
             analyze(X, Y, dirs, p=1.5)
+
+
+def test_overflowing_projection_raises():
+    """A finite row whose projections overflow, last in its sample, so that
+    its sort key carries an index, after the largest finite row, first."""
+    rng = np.random.default_rng(32)
+    X = rng.normal(0.0, 1.0, (40, 2))
+    X[0], X[-1] = 10.0, 1.5e308
+    Y = as_sample_matrix(rng.normal(0.0, 1.0, (30, 2)))
+    dirs = DirectionSet(dirs=np.resize([[0.6, 0.8], [0.8, 0.6]], (8, 2)), k=8,
+                        seed=0, stream_id=0)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="overflows float64.*rescale"):
+            analyze(as_sample_matrix(X), Y, dirs, p=1.5)
