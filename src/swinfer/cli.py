@@ -27,6 +27,7 @@ from .estimators import _direction_pass  # noqa: F401
 from .geometry import SampleMatrix, sample_directions
 from .inference import (DegenerateVarianceError, _estimate_and_variance,
                         confidence_interval, effective_rate)
+from .ot1d import _check_p
 from .sim import SimulationPlan, result_csv_text, result_json_text, run_plan
 
 ENV_PREFIX = "SWINFER_"
@@ -122,9 +123,7 @@ def _common_values(args):
         raise InputError(f"level must lie in (0, 1), got {level}")
     if threads < 1:
         raise InputError(f"threads must be positive, got {threads}")
-    if not p > 1.0:
-        raise InputError(f"cost exponent must exceed 1, got {p}")
-    return p, k, level, seed, threads, fmt, out
+    return _check_p(p), k, level, seed, threads, fmt, out
 
 
 def _emit_report(doc: dict, fmt: str, out: str | None) -> None:
@@ -170,7 +169,7 @@ def _report(command: str, head: dict, estimate: float, vc, interval,
     })
     if rep is not None:
         doc.update({"statistic": rep.statistic, "p_value": rep.p_value,
-                    "reject": bool(rep.p_value < 1.0 - rep.level)})
+                    "reject": rep.reject})
     doc.update({"ci_low": interval[0], "ci_high": interval[1]})
     return doc
 

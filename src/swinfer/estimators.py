@@ -132,7 +132,8 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     Returns (SlicedEstimate, g_x, g_y). The per-direction costs are always
     computed. With ``potentials``, g_x and g_y are the direction-averaged
     potentials for the same cost |s - t|^p at X's and Y's rows in input
-    order; without it they are None.
+    order; without it they are None. A cost or a potential that overflows
+    (finite costs can have potentials that do) raises ValueError.
 
     In a chunk, ``np.add.at`` adds each potential to its input-order slot,
     from +0.0 and in direction order, block after block: the sums of the
@@ -158,16 +159,17 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
         parts = [work(lo) for lo in starts]
 
     per_direction = np.concatenate([costs for costs, _, _ in parts])
-    if not np.isfinite(per_direction).all():
+    g_x = g_y = None
+    if potentials:
+        g_x = sum((gx_sum for _, gx_sum, _ in parts), np.zeros(X.n)) / k
+        g_y = sum((gy_sum for _, _, gy_sum in parts), np.zeros(Y.n)) / k
+    if not all(np.isfinite(v).all() for v in (per_direction, g_x, g_y)
+               if v is not None):
         raise ValueError("the projected transport cost overflows float64; "
                          "rescale the data")
     est = SlicedEstimate(sw_pp=float(np.mean(per_direction)),
                          per_direction=per_direction,
                          p=float(p), n=X.n, m=Y.n, k=k)
-    if not potentials:
-        return est, None, None
-    g_x = sum((gx_sum for _, gx_sum, _ in parts), np.zeros(X.n)) / k
-    g_y = sum((gy_sum for _, _, gy_sum in parts), np.zeros(Y.n)) / k
     return est, g_x, g_y
 
 

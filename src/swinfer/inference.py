@@ -3,7 +3,8 @@
 The statistic T = sqrt(k r / (k + r)) * (estimate - delta) / sqrt(combined),
 with r = nm/(n+m), is asymptotically standard normal under the null
 hypothesis that the population sliced cost equals delta, which yields
-two-sided p-values and confidence intervals by normal inversion.
+two-sided p-values and confidence intervals by normal inversion. The test
+rejects when |T| > z_((1+level)/2), the critical value the interval inverts.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ class InferenceReport:
     delta: float
     statistic: float
     p_value: float
+    reject: bool
     ci_low: float
     ci_high: float
     level: float
@@ -69,19 +71,25 @@ def two_sided_pvalue(statistic: float) -> float:
     return float(2.0 * ndtr(-abs(statistic)))
 
 
+def _critical_value(level: float) -> float:
+    """z_((1+level)/2): the interval's half-width factor and the test's cutoff."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level}")
+    return float(ndtri(0.5 + 0.5 * level))
+
+
 def confidence_interval(estimate: float, n: int, m: int, k: int,
                         combined_variance: float, level: float) -> tuple[float, float]:
     """Normal-inversion interval; degenerate variance collapses to a point.
 
     Returns estimate +- z_((1+level)/2) * sqrt(variance) / rate.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level}")
+    z = _critical_value(level)
     if combined_variance < 0.0:
         raise ValueError("combined variance must be nonnegative")
     if combined_variance == 0.0:
         return (estimate, estimate)
-    half = ndtri(0.5 + 0.5 * level) * math.sqrt(combined_variance) / effective_rate(n, m, k)
+    half = z * math.sqrt(combined_variance) / effective_rate(n, m, k)
     return (estimate - half, estimate + half)
 
 
@@ -120,6 +128,7 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
     Returns
     -------
     InferenceReport
+        ``reject`` is |statistic| > z_((1+level)/2), the z of the interval.
 
     Raises
     ------
@@ -134,6 +143,7 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
                            delta=float(delta),
                            statistic=statistic,
                            p_value=two_sided_pvalue(statistic),
+                           reject=bool(abs(statistic) > _critical_value(level)),
                            ci_low=low,
                            ci_high=high,
                            level=float(level),

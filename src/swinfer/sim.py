@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._textio import dump_json, format_float
 from .distributions import GaussianSpec, sample_gaussian
 from .geometry import sample_directions
-from .inference import DegenerateVarianceError, analyze
+from .inference import DegenerateVarianceError, InferenceReport, analyze
 from .ot1d import _check_p
 
 # substream ids 0..15 are reserved for direct CLI use
@@ -125,12 +124,14 @@ class CellResult:
     """Outcome of one (k, h) cell.
 
     ``replications[i]`` is the replication index that produced
-    ``statistics[i]``; excluded replications appear in neither.
+    ``statistics[i]`` and its test decision ``rejects[i]``; excluded
+    replications appear in none.
     """
 
     k: int
     h: float
     statistics: np.ndarray
+    rejects: np.ndarray
     rejection_rate: float
     hist_edges: np.ndarray
     hist_counts: np.ndarray
@@ -144,17 +145,6 @@ class SimulationResult:
     cells: list[CellResult]
 
 
-def histogram(values, bin_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Equal-width histogram over [min, max]; counts sum to len(values)."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ValueError("cannot histogram an empty vector")
-    if bin_count < 1:
-        raise ValueError("bin_count must be at least 1")
-    counts, edges = np.histogram(values, bins=bin_count)
-    return edges, counts
-
-
 def _replication_streams(plan: SimulationPlan, cell_index: int,
                          rep_index: int) -> tuple[int, int, int]:
     base = _STREAM_BASE + (cell_index * plan.replications + rep_index) * 4
@@ -166,7 +156,7 @@ def _replication_streams(plan: SimulationPlan, cell_index: int,
 
 
 def _one_replication(plan: SimulationPlan, cell_index: int, rep_index: int,
-                     k: int, h: float) -> float | None:
+                     k: int, h: float) -> InferenceReport | None:
     sx, sy, sd = _replication_streams(plan, cell_index, rep_index)
     shift = np.zeros(plan.d)
     shift[0] = sqrt(plan.d) + h
@@ -179,7 +169,7 @@ def _one_replication(plan: SimulationPlan, cell_index: int, rep_index: int,
                          level=plan.level)
     except DegenerateVarianceError:
         return None
-    return report.statistic
+    return report
 
 
 def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
@@ -195,9 +185,9 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     Returns
     -------
     SimulationResult
-        Per cell: the statistic vector (degenerate replications excluded
-        with a count), the rejection rate at the plan level, and a histogram
-        of ``_HIST_BINS`` equal-width bins.
+        Per cell: each report's statistic and ``reject`` flag (degenerate
+        replications excluded with a count), the rejection rate (the mean of
+        those flags) and a histogram of ``_HIST_BINS`` equal-width bins.
     """
     tasks = [(ci, ri, k, h)
              for ci, (k, h) in enumerate(plan.cells)
@@ -213,21 +203,21 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     else:
         outcomes = [work(t) for t in tasks]
 
-    q = float(ndtri(0.5 + 0.5 * plan.level))
     cells = []
     for ci, (k, h) in enumerate(plan.cells):
         block = outcomes[ci * plan.replications:(ci + 1) * plan.replications]
-        kept = np.asarray([ri for ri, t in enumerate(block) if t is not None],
+        kept = np.asarray([ri for ri, rep in enumerate(block) if rep is not None],
                           dtype=np.int64)
-        stats = np.asarray([block[ri] for ri in kept], dtype=np.float64)
+        stats = np.asarray([block[ri].statistic for ri in kept], dtype=np.float64)
+        rejects = np.asarray([block[ri].reject for ri in kept], dtype=bool)
         excluded = plan.replications - stats.size
         if stats.size:
-            rate = float(np.mean(np.abs(stats) > q))
-            edges, counts = histogram(stats, _HIST_BINS)
+            rate = float(np.mean(rejects))
+            counts, edges = np.histogram(stats, bins=_HIST_BINS)
         else:
             rate = float("nan")
             edges, counts = np.zeros(1), np.zeros(0, dtype=np.int64)
-        cells.append(CellResult(k=k, h=h, statistics=stats,
+        cells.append(CellResult(k=k, h=h, statistics=stats, rejects=rejects,
                                 rejection_rate=rate, hist_edges=edges,
                                 hist_counts=counts, excluded=excluded,
                                 replications=kept))
@@ -236,13 +226,11 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
 
 def result_csv_text(result: SimulationResult) -> str:
     """One row per kept replication: cell ids, statistic, reject flag."""
-    q = float(ndtri(0.5 + 0.5 * result.plan.level))
     lines = ["k,h,replication,statistic,reject"]
     for cell in result.cells:
-        for ri, t in zip(cell.replications, cell.statistics):
-            flag = int(abs(t) > q)
+        for ri, t, flag in zip(cell.replications, cell.statistics, cell.rejects):
             lines.append(f"{cell.k},{format_float(cell.h)},{ri},"
-                         f"{format_float(t)},{flag}")
+                         f"{format_float(t)},{int(flag)}")
     return "\n".join(lines) + "\n"
 
 

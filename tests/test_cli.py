@@ -162,6 +162,26 @@ def test_overflowing_costs_exit_2(tmp_path):
         assert "rescale" in proc.stderr
 
 
+def test_overflowing_potentials_exit_2(tmp_path):
+    x = tmp_path / "x.csv"
+    x.write_text("0\n1e200\n3\n")
+    proc = run_cli("estimate", "--x", str(x), "--y", str(x), "--k", "4")
+    assert proc.returncode == 2, proc.stderr
+    assert "overflows float64" in proc.stderr
+    assert "rescale" in proc.stderr
+
+
+def test_bad_exponent_named_before_files_are_read(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    args = ("estimate", "--x", missing, "--y", missing, "--k", "8")
+    for proc in (run_cli(*args, "--p", "inf"),
+                 run_cli(*args, env_extra={"SWINFER_P": "inf"}),
+                 run_cli(*args, "--p", "1.0")):
+        assert proc.returncode == 2
+        assert "order p" in proc.stderr
+        assert "cannot open" not in proc.stderr
+
+
 def test_env_fallback_and_flag_priority(data):
     env = {"SWINFER_K": "8", "SWINFER_SEED": "5"}
     proc = run_cli("estimate", "--x", data["x"], "--y", data["y"],
@@ -232,10 +252,34 @@ def test_test_report_equals_analyze(data):
             "tau_hat": vc.tau_hat, "lambda_hat": vc.lambda_hat,
             "combined_variance": vc.combined,
             "effective_rate": rep.effective_rate, "statistic": rep.statistic,
-            "p_value": rep.p_value, "ci_low": rep.ci_low,
+            "p_value": rep.p_value, "reject": rep.reject, "ci_low": rep.ci_low,
             "ci_high": rep.ci_high}
     for key, value in want.items():
         assert doc[key] == value, key
+
+
+def test_statistic_at_the_critical_value_rejects_nowhere(data, monkeypatch,
+                                                         capsys):
+    """|T| equal to z_0.975 is no rejection, in ``test`` and ``simulate``
+    alike, though its p-value rounds to 0.05, below 1 - 0.95."""
+    from scipy.special import ndtri
+
+    import swinfer.inference
+    from swinfer import cli
+    from swinfer.sim import SimulationPlan, run_plan
+
+    z = float(ndtri(0.975))
+    monkeypatch.setattr(swinfer.inference, "test_statistic", lambda *args: z)
+    assert cli.main(["test", "--x", data["x"], "--y", data["y"], "--k", "16",
+                     "--delta", "0.3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["statistic"] == z and doc["p_value"] < 1.0 - 0.95
+    assert doc["reject"] is False
+    plan = SimulationPlan(d=2, n=25, m=20, k_values=(4,), h_values=(0.0,),
+                          delta=1.0, replications=3, master_seed=99)
+    cell = run_plan(plan).cells[0]
+    assert cell.statistics.tolist() == [z] * 3
+    assert cell.rejection_rate == 0.0
 
 
 def test_estimate_constant_data_gives_point_interval(tmp_path):

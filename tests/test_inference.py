@@ -129,6 +129,24 @@ def test_analyze_wires_components_together():
     assert rep.ci_low < rep.estimate < rep.ci_high
 
 
+def test_analyze_rejects_exactly_the_nulls_outside_its_interval():
+    """``reject`` and the interval share one critical value, so away from
+    its edges the test rejects delta exactly when the interval omits it."""
+    X, Y = gaussian_pair(4)
+    dirs = sample_directions(3, 32, seed=6)
+    for level in (0.8, 0.95):
+        base = analyze(X, Y, dirs, level=level)
+        width = base.ci_high - base.ci_low
+        rejects = []
+        for delta in np.linspace(base.ci_low - width, base.ci_high + width, 14):
+            rep = analyze(X, Y, dirs, delta=delta, level=level)
+            assert (rep.ci_low, rep.ci_high) == (base.ci_low, base.ci_high)
+            assert min(abs(delta - rep.ci_low), abs(delta - rep.ci_high)) > 1e-6 * width
+            assert rep.reject == (not rep.ci_low <= delta <= rep.ci_high)
+            rejects.append(rep.reject)
+        assert 0 < sum(rejects) < len(rejects)
+
+
 def test_analyze_threads_bitwise_identical():
     rng = np.random.default_rng(3)
     X = as_sample_matrix(rng.normal(size=(60, 3)))
@@ -194,3 +212,13 @@ def test_overflowing_projection_raises():
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="overflows float64.*rescale"):
             analyze(as_sample_matrix(X), Y, dirs, p=1.5)
+
+
+def test_overflowing_potentials_raise():
+    """Equal samples give zero costs, but the potential steps |1e200 - 3|^2
+    overflow, and inf - inf leaves NaN potentials."""
+    X = as_sample_matrix(np.array([[0.0], [1e200], [3.0]]))
+    dirs = sample_directions(1, 4, seed=13)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="overflows float64.*rescale"):
+            analyze(X, X, dirs)

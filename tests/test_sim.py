@@ -5,8 +5,8 @@ import pytest
 from scipy.special import ndtri
 
 import swinfer.sim as sim
-from swinfer.sim import (SimulationPlan, _replication_streams, histogram,
-                         result_csv_text, result_json_text, run_plan)
+from swinfer.sim import (SimulationPlan, _replication_streams, result_csv_text,
+                         result_json_text, run_plan)
 
 
 def tiny_plan(**overrides):
@@ -57,19 +57,6 @@ def test_plan_converts_integral_values():
 def test_plan_cell_ordering():
     plan = tiny_plan(k_values=(2, 8), h_values=(0.0, 0.5))
     assert plan.cells == [(2, 0.0), (2, 0.5), (8, 0.0), (8, 0.5)]
-
-
-def test_histogram_examples():
-    edges, counts = histogram([0.0, 0.0, 0.0], 1)
-    assert counts.tolist() == [3]
-    assert len(edges) == 2
-    edges, counts = histogram([0.0, 1.0], 2)
-    assert counts.tolist() == [1, 1]
-    assert edges[0] == 0.0 and edges[-1] == 1.0
-    with pytest.raises(ValueError):
-        histogram([], 4)
-    with pytest.raises(ValueError):
-        histogram([1.0], 0)
 
 
 def test_stream_layout_has_no_collisions():
@@ -187,6 +174,24 @@ def test_run_plan_runs_every_exponent():
         assert result.cells[0].excluded == 0
         assert np.isfinite(result.cells[0].statistics).all()
         assert result_csv_text(run_plan(plan, threads=2)) == result_csv_text(result)
+
+
+def test_csv_flags_and_rate_read_each_report(monkeypatch):
+    real = sim.analyze
+    reports = []
+
+    def recording(*args, **kwargs):
+        reports.append(real(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(sim, "analyze", recording)
+    result = run_plan(tiny_plan(replications=12, level=0.5))
+    rows = result_csv_text(result).splitlines()[1:]
+    flags = [int(row.split(",")[4]) for row in rows]
+    assert flags == [int(rep.reject) for rep in reports]
+    assert 0 < sum(flags) < len(flags)
+    assert result.cells[0].rejects.tolist() == [rep.reject for rep in reports]
+    assert result.cells[0].rejection_rate == np.mean([rep.reject for rep in reports])
 
 
 def test_csv_keeps_replication_indices_after_exclusion(monkeypatch):
