@@ -20,9 +20,8 @@ from .geometry import (DirectionSet, SampleMatrix, as_sample_matrix,
 from .inference import (DegenerateVarianceError, InferenceReport, analyze,
                         confidence_interval, effective_rate, test_statistic,
                         two_sided_pvalue)
-from .ot1d import SortedProjection, sort_projection, wasserstein_pp
-from .potentials import (c_conjugate, duality_gap, potential_values,
-                         row_assignment)
+from .ot1d import (SortedProjection, c_conjugate, duality_gap, potential_values,
+                   row_assignment, sort_projection, wasserstein_pp)
 from .sim import CellResult, SimulationPlan, SimulationResult, run_plan
 
 __version__ = "0.1.0"

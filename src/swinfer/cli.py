@@ -119,8 +119,7 @@ def _common_values(args):
         raise InputError(f"format must be csv or json, got {fmt!r}")
     if k < 2:
         raise InputError(f"need at least 2 directions, got k={k}")
-    if not 0.0 < level < 1.0:
-        raise InputError(f"level must lie in (0, 1), got {level}")
+    inference._critical_value(level)  # refuses a level outside (0, 1)
     if threads < 1:
         raise InputError(f"threads must be positive, got {threads}")
     return _check_p(p), k, level, seed, threads, fmt, out

@@ -21,17 +21,30 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .geometry import DirectionSet, SampleMatrix
-from .ot1d import wasserstein_pp_batch
-from .potentials import potential_values_batch
+from .ot1d import potential_values_batch, wasserstein_pp_batch
 
 _CHUNK = 512
 # bytes of projected values (both samples) that ``_pass_chunk`` handles at a
 # time; small enough that a block and its intermediates stay in a core's L2
 _BLOCK_BYTES = 256 * 1024
+_OVERFLOW = "the projected transport cost overflows float64; rescale the data"
+# every result that may overflow is checked and raises _OVERFLOW, so numpy's
+# warnings are off; the state is per thread, so each pool worker enters it
+_quiet = partial(np.errstate, over="ignore", invalid="ignore")
+
+
+def _variance(values) -> float:
+    """Population variance (two-pass ``np.var``), or the overflow error."""
+    with _quiet():
+        var = float(np.var(values))
+    if not np.isfinite(var):
+        raise ValueError(_OVERFLOW)
+    return var
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +145,9 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     Returns (SlicedEstimate, g_x, g_y). The per-direction costs are always
     computed. With ``potentials``, g_x and g_y are the direction-averaged
     potentials for the same cost |s - t|^p at X's and Y's rows in input
-    order; without it they are None. A cost or a potential that overflows
-    (finite costs can have potentials that do) raises ValueError.
+    order; without it they are None. A cost, a potential or their mean that
+    overflows (finite costs can have potentials that do) raises ValueError,
+    with numpy's warnings silenced.
 
     In a chunk, ``np.add.at`` adds each potential to its input-order slot,
     from +0.0 and in direction order, block after block: the sums of the
@@ -150,7 +164,8 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     starts = range(0, k, _CHUNK)
 
     def work(lo):
-        return _pass_chunk(X, Y, dirs.dirs[lo:lo + _CHUNK], p, potentials)
+        with _quiet():
+            return _pass_chunk(X, Y, dirs.dirs[lo:lo + _CHUNK], p, potentials)
 
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -160,16 +175,16 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
 
     per_direction = np.concatenate([costs for costs, _, _ in parts])
     g_x = g_y = None
-    if potentials:
-        g_x = sum((gx_sum for _, gx_sum, _ in parts), np.zeros(X.n)) / k
-        g_y = sum((gy_sum for _, _, gy_sum in parts), np.zeros(Y.n)) / k
-    if not all(np.isfinite(v).all() for v in (per_direction, g_x, g_y)
+    with _quiet():
+        sw_pp = float(np.mean(per_direction))
+        if potentials:
+            g_x = sum((gx_sum for _, gx_sum, _ in parts), np.zeros(X.n)) / k
+            g_y = sum((gy_sum for _, _, gy_sum in parts), np.zeros(Y.n)) / k
+    if not all(np.isfinite(v).all() for v in (sw_pp, per_direction, g_x, g_y)
                if v is not None):
-        raise ValueError("the projected transport cost overflows float64; "
-                         "rescale the data")
-    est = SlicedEstimate(sw_pp=float(np.mean(per_direction)),
-                         per_direction=per_direction,
-                         p=float(p), n=X.n, m=Y.n, k=k)
+        raise ValueError(_OVERFLOW)
+    est = SlicedEstimate(sw_pp=sw_pp, per_direction=per_direction, p=float(p),
+                         n=X.n, m=Y.n, k=k)
     return est, g_x, g_y
 
 
@@ -203,11 +218,11 @@ def w_hat_sq(est: SlicedEstimate) -> float:
     Two-pass (``np.var``): the costs are centered before they are squared,
     so the result is never negative and does not cancel to zero when the
     costs are large and nearly equal, as mean of squares minus squared mean
-    does. Requires k >= 2.
+    does. Requires k >= 2. Raises the pass's overflow error if it overflows.
     """
     if est.k < 2:
         raise ValueError("w_hat_sq needs at least 2 directions")
-    return float(np.var(est.per_direction))
+    return _variance(est.per_direction)
 
 
 def v_hat_sq(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
@@ -221,7 +236,7 @@ def v_hat_sq(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     estimate the companion quantity for Y.
     """
     _, g_x, _ = _direction_pass(X, Y, dirs, p, True, threads)
-    return float(np.var(g_x))
+    return _variance(g_x)
 
 
 def combined_variance(n: int, m: int, k: int, w_hat_sq: float,

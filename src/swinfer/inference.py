@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 from scipy.special import ndtr, ndtri
 
-import numpy as np
-
-from .estimators import (VarianceComponents, _direction_pass, combined_variance,
-                         w_hat_sq)
+from .estimators import (VarianceComponents, _direction_pass, _variance,
+                         combined_variance, w_hat_sq)
 from .geometry import DirectionSet, SampleMatrix
 
 
@@ -101,7 +99,7 @@ def _estimate_and_variance(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     """
     est, g_x, g_y = _direction_pass(X, Y, dirs, p, True, threads)
     return est, combined_variance(est.n, est.m, est.k, w_hat_sq(est),
-                                  float(np.var(g_x)), float(np.var(g_y)))
+                                  _variance(g_x), _variance(g_y))
 
 
 def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0,

@@ -27,7 +27,8 @@ import numpy as np
 from ._textio import dump_json, format_float
 from .distributions import GaussianSpec, sample_gaussian
 from .geometry import sample_directions
-from .inference import DegenerateVarianceError, InferenceReport, analyze
+from .inference import (DegenerateVarianceError, InferenceReport, _critical_value,
+                        analyze)
 from .ot1d import _check_p
 
 # substream ids 0..15 are reserved for direct CLI use
@@ -105,8 +106,7 @@ class SimulationPlan:
             object.__setattr__(self, name, value)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level}")
+        _critical_value(self.level)  # refuses a level outside (0, 1)
         if not self.k_values or any(k < 2 for k in self.k_values):
             raise ValueError("every direction budget must be at least 2")
         if not self.h_values:

@@ -6,8 +6,7 @@ direction pass; these tests need every direction's row on its own.
 
 import numpy as np
 
-from swinfer.ot1d import sort_projection
-from swinfer.potentials import potential_values
+from swinfer.ot1d import potential_values, sort_projection
 
 
 def potential_rows(X, Y, dirs, p=2.0):

@@ -20,8 +20,8 @@ from swinfer.distributions import (GaussianSpec, gaussian_quantile_density,
 from swinfer.estimators import sliced_estimate, v_hat_sq, w_hat_sq
 from swinfer.geometry import sample_directions
 from swinfer.inference import analyze
-from swinfer.ot1d import sort_projection, wasserstein_pp
-from swinfer.potentials import c_conjugate, duality_gap, potential_values
+from swinfer.ot1d import (c_conjugate, duality_gap, potential_values,
+                          sort_projection, wasserstein_pp)
 from swinfer.sim import SimulationPlan, run_plan
 
 # substream ids used by these tests only; the package itself never goes

@@ -150,25 +150,42 @@ def test_degenerate_variance_exits_3(data, tmp_path):
     assert "variance" in proc.stderr
 
 
+OVERFLOW_ERROR = ("error: the projected transport cost overflows float64; "
+                  "rescale the data\n")
+# one chunk in one thread, and three chunks in two pool threads
+OVERFLOW_RUNS = (("--k", "16", "--threads", "1"), ("--k", "1100", "--threads", "2"))
+
+
+def assert_overflow_exit(x, y):
+    """``estimate`` and ``test`` exit 2 with the overflow error as the only
+    line on stderr, no numpy RuntimeWarning before it, in each run."""
+    for command in (("estimate",), ("test", "--delta", "0.5")):
+        for run in OVERFLOW_RUNS:
+            proc = run_cli(*command, "--x", str(x), "--y", str(y), *run)
+            assert proc.returncode == 2, proc.stderr
+            assert proc.stderr == OVERFLOW_ERROR
+
+
 def test_overflowing_costs_exit_2(tmp_path):
     rng = np.random.default_rng(31)
     x, y = tmp_path / "x.csv", tmp_path / "y.csv"
     np.savetxt(x, rng.normal(0.0, 1.0, (60, 3)) * 1e307, delimiter=",")
     np.savetxt(y, rng.normal(0.0, 1.0, (50, 3)) * 1e307, delimiter=",")
-    for extra in (("estimate",), ("test", "--delta", "0.5")):
-        proc = run_cli(*extra, "--x", str(x), "--y", str(y), "--k", "16")
-        assert proc.returncode == 2, proc.stderr
-        assert "overflows float64" in proc.stderr
-        assert "rescale" in proc.stderr
+    assert_overflow_exit(x, y)
 
 
 def test_overflowing_potentials_exit_2(tmp_path):
     x = tmp_path / "x.csv"
     x.write_text("0\n1e200\n3\n")
-    proc = run_cli("estimate", "--x", str(x), "--y", str(x), "--k", "4")
-    assert proc.returncode == 2, proc.stderr
-    assert "overflows float64" in proc.stderr
-    assert "rescale" in proc.stderr
+    assert_overflow_exit(x, x)
+
+
+def test_overflowing_variances_exit_2(tmp_path):
+    """Finite costs and potentials whose variances overflow."""
+    x, y = tmp_path / "x.csv", tmp_path / "y.csv"
+    x.write_text("0\n1e100\n3\n")
+    y.write_text("0\n1\n2\n")
+    assert_overflow_exit(x, y)
 
 
 def test_bad_exponent_named_before_files_are_read(tmp_path):
@@ -179,6 +196,16 @@ def test_bad_exponent_named_before_files_are_read(tmp_path):
                  run_cli(*args, "--p", "1.0")):
         assert proc.returncode == 2
         assert "order p" in proc.stderr
+        assert "cannot open" not in proc.stderr
+
+
+def test_bad_level_named_before_files_are_read(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    for level in ("1.5", "0", "nan"):
+        proc = run_cli("test", "--x", missing, "--y", missing, "--k", "8",
+                       "--delta", "0", "--level", level)
+        assert proc.returncode == 2
+        assert "level must lie in (0, 1)" in proc.stderr
         assert "cannot open" not in proc.stderr
 
 

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from swinfer import estimators
+from swinfer import estimators, ot1d
 from swinfer.estimators import _BLOCK_BYTES, _CHUNK, _direction_pass
 from swinfer.geometry import DirectionSet, as_sample_matrix
-from swinfer.ot1d import _cell_arrays, sort_projection, wasserstein_pp, wasserstein_pp_batch
-from swinfer.potentials import potential_values_batch, row_assignment
+from swinfer.ot1d import (_coupling, potential_values_batch, row_assignment,
+                          sort_projection, wasserstein_pp, wasserstein_pp_batch)
 
 # single points, n == m, n > m and n < m, small and large
 SHAPES = [(1, 1), (1, 4), (7, 7), (7, 3), (3, 7), (300, 300), (300, 200)]
@@ -38,7 +38,7 @@ def assert_same_bits(got, want):
 
 def reference_cost(S, T, p):
     """Each row's cost summed as ``wasserstein_pp`` sums one sample."""
-    i0, j0, mass = _cell_arrays(S.shape[1], T.shape[1])
+    i0, j0, mass, _ = _coupling(S.shape[1], T.shape[1])
     costs = []
     for s, t in zip(S, T):
         diff = s[i0] - t[j0]
@@ -178,6 +178,31 @@ def test_potential_kernel_single_row_blocks(n, m, p):
     assert block_rows(n, m) == 1
     rng = np.random.default_rng(n + m)
     assert_pass_matches_reference(*random_pass_inputs(rng, n, m, 2, 3), p)
+
+
+def test_coupling_built_once_per_shape(monkeypatch):
+    """Over many blocks, the pass builds the (n, m) and (m, n) coupling
+    tables once each: ``row_assignment`` runs once per orientation."""
+    calls, blocks = [], []
+    row_assignment = ot1d.row_assignment
+    cost_kernel = estimators.wasserstein_pp_batch
+
+    def spy(n, m):
+        calls.append((n, m))
+        return row_assignment(n, m)
+
+    def count_blocks(S, T, p):
+        blocks.append(S.shape[0])
+        return cost_kernel(S, T, p)
+
+    monkeypatch.setattr(ot1d, "row_assignment", spy)
+    monkeypatch.setattr(estimators, "wasserstein_pp_batch", count_blocks)
+    monkeypatch.setattr(estimators, "_BLOCK_BYTES", 8 * (37 + 23) * 3)
+    ot1d._coupling.cache_clear()
+    X, Y, dirs = random_pass_inputs(np.random.default_rng(5), 37, 23, 3, 40)
+    _direction_pass(X, Y, dirs, 3.0, True, 1)
+    assert blocks == [3] * 13 + [1]
+    assert sorted(calls) == [(23, 37), (37, 23)]
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from swinfer.estimators import combined_variance, sliced_estimate, v_hat_sq, w_hat_sq
+from swinfer.estimators import (SlicedEstimate, combined_variance, sliced_estimate,
+                                v_hat_sq, w_hat_sq)
 from swinfer.geometry import DirectionSet, as_sample_matrix, sample_directions
 from swinfer.inference import (DegenerateVarianceError, analyze,
                                confidence_interval, effective_rate,
@@ -222,3 +223,28 @@ def test_overflowing_potentials_raise():
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="overflows float64.*rescale"):
             analyze(X, X, dirs)
+
+
+def test_overflowing_mean_raises():
+    """Finite per-direction costs of 8.45e307 whose mean overflows; no
+    ``np.errstate`` here, so a RuntimeWarning would fail the test."""
+    X = as_sample_matrix(np.array([[0.0], [1.3e154]]))
+    Y = as_sample_matrix(np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="overflows float64.*rescale"):
+        sliced_estimate(X, Y, sample_directions(1, 4, seed=14))
+
+
+def test_overflowing_variances_raise():
+    """Finite costs (3.3e199) and potentials (5e199) whose variances
+    overflow; no ``np.errstate`` here either."""
+    X = as_sample_matrix(np.array([[0.0], [1e100], [3.0]]))
+    Y = as_sample_matrix(np.array([[0.0], [1.0], [2.0]]))
+    dirs = sample_directions(1, 4, seed=15)
+    with pytest.raises(ValueError, match="overflows float64.*rescale"):
+        analyze(X, Y, dirs)
+    with pytest.raises(ValueError, match="overflows float64.*rescale"):
+        v_hat_sq(X, Y, dirs)
+    spread = SlicedEstimate(sw_pp=5e199, per_direction=np.array([0.0, 1e200]),
+                            p=2.0, n=3, m=3, k=2)
+    with pytest.raises(ValueError, match="overflows float64.*rescale"):
+        w_hat_sq(spread)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from swinfer.ot1d import _cell_arrays, sort_projection, wasserstein_pp
+from swinfer.ot1d import _coupling, sort_projection, wasserstein_pp
 
 
 def brute_cells(n, m):
@@ -24,7 +24,7 @@ def brute_cells(n, m):
 def kernel_cells(n, m):
     """(i, j, mass) per coupling cell, with 1-based ranks, read off the
     arrays the cost kernels use."""
-    i0, j0, mass = _cell_arrays(n, m)
+    i0, j0, mass, _ = _coupling(n, m)
     return [(int(i) + 1, int(j) + 1, float(w)) for i, j, w in zip(i0, j0, mass)]
 
 

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from swinfer.ot1d import _cell_arrays, sort_projection, wasserstein_pp
-from swinfer.potentials import (c_conjugate, duality_gap, potential_values,
-                                potential_values_batch, row_assignment)
+from swinfer.ot1d import (_coupling, c_conjugate, duality_gap, potential_values,
+                          potential_values_batch, row_assignment, sort_projection,
+                          wasserstein_pp)
 
 
 def c_conjugate_brute(phi_at_s, svals, t_points, p=2.0):
@@ -20,7 +20,7 @@ def rank_from_cells(n, m):
     """Oracle: largest coupled target rank per source rank, read off the
     coupling's cell arrays."""
     out = np.zeros(n, dtype=int)
-    i0, j0, _ = _cell_arrays(n, m)
+    i0, j0, _, _ = _coupling(n, m)
     for i, j in zip(i0, j0):
         out[i] = max(out[i], j + 1)
     return out
@@ -133,6 +133,15 @@ def test_c_conjugate_rejects_bad_method_and_shapes():
     s = sort_projection(np.array([0.0, 1.0]))
     with pytest.raises(ValueError):
         c_conjugate(np.zeros(3), s, np.zeros(2))
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, np.nan, np.inf])
+def test_potentials_refuse_bad_exponent(p):
+    s = sort_projection(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="order p"):
+        potential_values(s, s, p)
+    with pytest.raises(ValueError, match="order p"):
+        c_conjugate(np.zeros(2), s, s.values, p)
 
 
 def test_duality_gap_hand_example():
