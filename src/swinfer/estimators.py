@@ -21,30 +21,22 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .geometry import DirectionSet, SampleMatrix
-from .ot1d import potential_values_batch, wasserstein_pp_batch
+from .ot1d import _finite, _quiet, potential_values_batch, wasserstein_pp_batch
 
 _CHUNK = 512
 # bytes of projected values (both samples) that ``_pass_chunk`` handles at a
 # time; small enough that a block and its intermediates stay in a core's L2
 _BLOCK_BYTES = 256 * 1024
-_OVERFLOW = "the projected transport cost overflows float64; rescale the data"
-# every result that may overflow is checked and raises _OVERFLOW, so numpy's
-# warnings are off; the state is per thread, so each pool worker enters it
-_quiet = partial(np.errstate, over="ignore", invalid="ignore")
 
 
 def _variance(values) -> float:
     """Population variance (two-pass ``np.var``), or the overflow error."""
     with _quiet():
-        var = float(np.var(values))
-    if not np.isfinite(var):
-        raise ValueError(_OVERFLOW)
-    return var
+        return _finite(float(np.var(values)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +172,9 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
         if potentials:
             g_x = sum((gx_sum for _, gx_sum, _ in parts), np.zeros(X.n)) / k
             g_y = sum((gy_sum for _, _, gy_sum in parts), np.zeros(Y.n)) / k
-    if not all(np.isfinite(v).all() for v in (sw_pp, per_direction, g_x, g_y)
-               if v is not None):
-        raise ValueError(_OVERFLOW)
+    for values in (sw_pp, per_direction, g_x, g_y):
+        if values is not None:
+            _finite(values)
     est = SlicedEstimate(sw_pp=sw_pp, per_direction=per_direction, p=float(p),
                          n=X.n, m=Y.n, k=k)
     return est, g_x, g_y

@@ -26,9 +26,21 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+
+_OVERFLOW = "the projected transport cost overflows float64; rescale the data"
+# every result that may overflow is checked and raises _OVERFLOW, so numpy's
+# warnings are off; the state is per thread, so each pool worker enters it
+_quiet = partial(np.errstate, over="ignore", invalid="ignore")
+
+
+def _finite(values):
+    """``values``, or the overflow error if any of them is not finite."""
+    if not np.isfinite(values).all():
+        raise ValueError(_OVERFLOW)
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,7 +158,9 @@ def wasserstein_pp(s: SortedProjection, t: SortedProjection, p: float) -> float:
     """
     p = _check_p(p)
     i0, j0, mass, _ = _coupling(s.n, t.n)
-    return float(np.sum(mass * _pow_cost(s.values[i0] - t.values[j0], p)))
+    with _quiet():
+        cost = float(np.sum(mass * _pow_cost(s.values[i0] - t.values[j0], p)))
+    return _finite(cost)
 
 
 def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float) -> np.ndarray:
@@ -183,8 +197,9 @@ def potential_values(s: SortedProjection, t: SortedProjection,
     """
     p = _check_p(p)
     t_r = t.values[_coupling(s.n, t.n).steps]
-    steps = np.abs(s.values[1:] - t_r) ** p - np.abs(s.values[:-1] - t_r) ** p
-    return np.concatenate(([0.0], np.cumsum(steps)))
+    with _quiet():
+        steps = np.abs(s.values[1:] - t_r) ** p - np.abs(s.values[:-1] - t_r) ** p
+        return _finite(np.concatenate(([0.0], np.cumsum(steps))))
 
 
 def potential_values_batch(S: np.ndarray, T: np.ndarray,
@@ -254,18 +269,19 @@ def c_conjugate(phi_at_s: np.ndarray, s: SortedProjection,
     tq = t_points[order]
     out = np.empty(tq.shape[0])
     stack = [(0, tq.shape[0], 0, s.n - 1)]
-    while stack:
-        qlo, qhi, ilo, ihi = stack.pop()
-        if qlo >= qhi:
-            continue
-        mid = (qlo + qhi) // 2
-        vals = np.abs(s.values[ilo:ihi + 1] - tq[mid]) ** p - phi_at_s[ilo:ihi + 1]
-        a = int(np.argmin(vals))
-        out[order[mid]] = vals[a]
-        a += ilo
-        stack.append((qlo, mid, ilo, a))
-        stack.append((mid + 1, qhi, a, ihi))
-    return out
+    with _quiet():
+        while stack:
+            qlo, qhi, ilo, ihi = stack.pop()
+            if qlo >= qhi:
+                continue
+            mid = (qlo + qhi) // 2
+            vals = np.abs(s.values[ilo:ihi + 1] - tq[mid]) ** p - phi_at_s[ilo:ihi + 1]
+            a = int(np.argmin(vals))
+            out[order[mid]] = vals[a]
+            a += ilo
+            stack.append((qlo, mid, ilo, a))
+            stack.append((mid + 1, qhi, a, ihi))
+    return _finite(out)
 
 
 def duality_gap(s: SortedProjection, t: SortedProjection,
@@ -277,5 +293,6 @@ def duality_gap(s: SortedProjection, t: SortedProjection,
     1e-9 * (1 + W_p^p) on well-scaled data.
     """
     phi = potential_values(s, t, p)
-    dual = float(np.mean(phi)) + float(np.mean(c_conjugate(phi, s, t.values, p)))
-    return wasserstein_pp(s, t, p) - dual
+    with _quiet():
+        dual = float(np.mean(phi)) + float(np.mean(c_conjugate(phi, s, t.values, p)))
+        return _finite(wasserstein_pp(s, t, p) - dual)

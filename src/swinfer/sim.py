@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import numbers
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from math import sqrt
 
 import numpy as np
@@ -172,6 +172,34 @@ def _one_replication(plan: SimulationPlan, cell_index: int, rep_index: int,
     return report
 
 
+def _replicate(plan: SimulationPlan, task: tuple[int, int, int, float]
+               ) -> InferenceReport | None:
+    """``_one_replication`` on one task tuple; module-level, so that a
+    worker process can receive it."""
+    return _one_replication(plan, *task)
+
+
+def _worker_pool(workers: int):
+    """An executor of ``workers`` replication processes.
+
+    The analysis of a small sample holds the interpreter lock for most of
+    its run, so threads barely overlap; processes do. On Linux they are
+    forked, which takes milliseconds and re-imports nothing; the executor
+    forks them all before it starts its helper threads, as those of Python
+    3.10.13 and 3.11 do. Elsewhere they start by the platform's default method
+    (macOS's system libraries are not fork-safe). A worker that dies, say
+    killed for memory, fails the run with ``BrokenProcessPool`` instead of
+    hanging it. The modules are imported here, so that commands that start
+    no workers do not hold them (0.3 MiB resident).
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if sys.platform.startswith("linux") else None
+    return ProcessPoolExecutor(workers,
+                               mp_context=multiprocessing.get_context(method))
+
+
 def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     """Execute every replication of every cell of a plan.
 
@@ -179,8 +207,15 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     ----------
     plan : SimulationPlan
     threads : int
-        Worker bound; the result is bit-identical for every value because
-        replications are independent and reductions run in index order.
+        Worker bound. At 1 the replications run here, one after another.
+        Above 1 they run on ``min(threads, replications of all cells)``
+        worker processes, forked on Linux (the platform's default start
+        method elsewhere), each with its own heap; a fork copies no other
+        thread, so call this while no other thread holds a lock. The first
+        failing replication's error is re-raised here, and every worker is
+        joined before this returns or raises. The result is bit-identical
+        for every value, because each replication draws from its own
+        streams and results are gathered in index order.
 
     Returns
     -------
@@ -192,13 +227,13 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     tasks = [(ci, ri, k, h)
              for ci, (k, h) in enumerate(plan.cells)
              for ri in range(plan.replications)]
-
-    def work(task):
-        ci, ri, k, h = task
-        return _one_replication(plan, ci, ri, k, h)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    work = partial(_replicate, plan)
+    workers = min(threads, len(tasks))
+    if workers > 1:
+        # results are read in index order, so the first failing replication's
+        # error is raised, as in the serial loop; the replications not yet
+        # started are then cancelled, and leaving the block joins every worker
+        with _worker_pool(workers) as pool:
             outcomes = list(pool.map(work, tasks))
     else:
         outcomes = [work(t) for t in tasks]

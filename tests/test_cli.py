@@ -340,6 +340,21 @@ def test_simulate_smoke(data, tmp_path):
     assert len(doc["cells"]) == 1
 
 
+def test_simulate_error_is_the_same_for_every_worker_count(tmp_path):
+    """A null value so far off that every statistic overflows to -inf: the
+    serial loop and the worker pool both exit 2 with one stderr line."""
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"d": 2, "n": 25, "m": 20, "k": 4,
+                                "h_values": [0.0], "delta": 1e308,
+                                "replications": 3, "master_seed": 99}))
+    for threads in ("1", "2"):
+        proc = run_cli("simulate", "--plan", str(plan), "--threads", threads,
+                       "--out", str(tmp_path / "s"))
+        assert proc.returncode == 2
+        assert proc.stderr == "error: statistic must be finite\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_simulate_seed_override(tmp_path):
     plan = write_plan(tmp_path / "plan.json")
     a, b = tmp_path / "a", tmp_path / "b"

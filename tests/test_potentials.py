@@ -144,6 +144,42 @@ def test_potentials_refuse_bad_exponent(p):
         c_conjugate(np.zeros(2), s, s.values, p)
 
 
+# s_(3) = 1e200 overflows the coupled cost |1e200 - 2|^2 and the potential
+# step |1e200 - 1|^2; the gap's dual would then read inf - inf
+OVERFLOW_S = sort_projection(np.array([0.0, 1e200, 3.0]))
+OVERFLOW_T = sort_projection(np.array([0.0, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize("kernel", [wasserstein_pp, potential_values, duality_gap])
+def test_scalar_kernels_name_an_overflow(kernel):
+    """The direction pass's overflow error, with no RuntimeWarning first
+    (pytest turns one into a failure)."""
+    with pytest.raises(ValueError, match="overflows float64.*rescale"):
+        kernel(OVERFLOW_S, OVERFLOW_T, 2.0)
+
+
+def test_c_conjugate_names_an_overflow():
+    s = sort_projection(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="overflows float64.*rescale"):
+        c_conjugate(np.zeros(2), s, [1e200], 2.0)
+
+
+def test_duality_gap_names_an_overflowing_dual():
+    """A finite cost (3.3e307) and finite potentials [0, 1e308, 1e308], whose
+    mean overflows."""
+    s = sort_projection(np.array([0.0, 1e154, 1e154]))
+    t = sort_projection(np.array([0.0, 0.0, 1e154]))
+    with pytest.raises(ValueError, match="overflows float64.*rescale"):
+        duality_gap(s, t, 2.0)
+
+
+def test_scalar_kernels_keep_finite_results_near_the_limit():
+    s = sort_projection(np.array([0.0, 1e154]))
+    t = sort_projection(np.zeros(2))
+    assert wasserstein_pp(s, t, 2.0) == 0.5 * 1e154 ** 2
+    assert_array_equal(potential_values(s, t, 2.0), [0.0, 1e154 ** 2])
+
+
 def test_duality_gap_hand_example():
     s = sort_projection(np.array([0.0, 1.0]))
     t = sort_projection(np.array([2.0, 3.0]))

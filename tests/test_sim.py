@@ -1,4 +1,9 @@
 import json
+import multiprocessing
+import os
+import sys
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -211,3 +216,92 @@ def test_csv_keeps_replication_indices_after_exclusion(monkeypatch):
     assert [int(r.split(",")[2]) for r in rows] == [0, 2, 3]
     full_rows = result_csv_text(full).splitlines()[1:]
     assert rows == [full_rows[i] for i in (0, 2, 3)]
+
+
+# a patch of the parent's module reaches the workers only when they are forked
+forked_workers = pytest.mark.skipif(not sys.platform.startswith("linux"),
+                                    reason="workers are forked on Linux only")
+
+
+@forked_workers
+def test_pool_raises_the_first_failing_replication(monkeypatch):
+    """Two replications fail with different messages; every worker count
+    raises the first one's error, as the serial loop does, and leaves no
+    worker process behind."""
+    plan = tiny_plan(k_values=(3, 6), replications=3)
+    failing = {_replication_streams(plan, 0, 2)[2]: "first",
+               _replication_streams(plan, 1, 0)[2]: "second"}
+    real = sim.analyze
+
+    def analyze(X, Y, dirs, **kwargs):
+        if dirs.stream_id in failing:
+            raise ValueError(f"{failing[dirs.stream_id]} failure")
+        return real(X, Y, dirs, **kwargs)
+
+    monkeypatch.setattr(sim, "analyze", analyze)
+    for threads in (1, 2, 4):
+        with pytest.raises(ValueError) as info:
+            run_plan(plan, threads=threads)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "first failure"
+        assert multiprocessing.active_children() == []
+
+
+@forked_workers
+def test_pool_forks_before_any_helper_thread(monkeypatch):
+    """A child forked while another thread holds a lock can deadlock, so
+    every worker is forked while this process still has one thread."""
+    real_fork = os.fork
+    alive = []
+
+    def fork():
+        alive.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    run_plan(tiny_plan(replications=4), threads=2)
+    assert alive == [1, 1]
+
+
+@forked_workers
+def test_pool_fails_when_a_worker_dies(monkeypatch):
+    """A worker killed mid-run, as for memory, fails the run instead of
+    hanging it, and no worker process is left behind."""
+    plan = tiny_plan(replications=4)
+    dying = _replication_streams(plan, 0, 2)[2]
+    real = sim.analyze
+    here = os.getpid()
+
+    def analyze(X, Y, dirs, **kwargs):
+        if dirs.stream_id == dying and os.getpid() != here:
+            os._exit(9)
+        return real(X, Y, dirs, **kwargs)
+
+    monkeypatch.setattr(sim, "analyze", analyze)
+    with pytest.raises(BrokenProcessPool):
+        run_plan(plan, threads=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_never_outnumbers_the_replications(monkeypatch):
+    """More workers asked for than there are replications: one worker per
+    replication, and a single replication runs without a pool."""
+    real = sim._worker_pool
+    sizes = []
+
+    def spy(workers):
+        sizes.append(workers)
+        return real(workers)
+
+    monkeypatch.setattr(sim, "_worker_pool", spy)
+    plan = tiny_plan(replications=2)
+    serial = run_plan(plan)
+    pooled = run_plan(plan, threads=3)
+    assert sizes == [2]
+    assert result_csv_text(pooled) == result_csv_text(serial)
+    assert result_json_text(pooled) == result_json_text(serial)
+    single = tiny_plan(replications=1)
+    assert result_csv_text(run_plan(single, threads=3)) == \
+        result_csv_text(run_plan(single))
+    assert sizes == [2]
+    assert multiprocessing.active_children() == []
