@@ -21,7 +21,7 @@ from .inference import (DegenerateVarianceError, InferenceReport, analyze,
                         confidence_interval, effective_rate, test_statistic,
                         two_sided_pvalue)
 from .ot1d import (SortedProjection, c_conjugate, duality_gap, potential_values,
-                   row_assignment, sort_projection, wasserstein_pp)
+                   sort_projection, wasserstein_pp)
 from .sim import CellResult, SimulationPlan, SimulationResult, run_plan
 
 __version__ = "0.1.0"
@@ -33,7 +33,7 @@ __all__ = [
     "VarianceComponents", "analyze", "as_sample_matrix", "c_conjugate",
     "combined_variance", "confidence_interval", "duality_gap",
     "effective_rate", "gaussian_quantile_density", "gaussian_sw2_meanshift",
-    "j_alpha", "potential_values", "row_assignment", "run_plan",
+    "j_alpha", "potential_values", "run_plan",
     "sample_directions", "sample_gaussian", "sliced_estimate",
     "sort_projection", "test_statistic", "two_sided_pvalue", "v_hat_sq",
     "w_hat_sq", "wasserstein_pp",

@@ -3,9 +3,11 @@
 Every consumer draws from a Philox generator keyed by a (seed, stream_id)
 pair, so distinct stream ids give independent streams under one user seed.
 Gaussian variates go through the inverse normal CDF, which consumes exactly
-one 64-bit word per variate. Rows are padded to whole Philox counter blocks,
-so row r of a batch is bit-identical to row r generated in isolation; batch
-boundaries and worker counts can never change the output.
+one 64-bit word per variate. Each row takes whole Philox counter blocks of
+four words, the unused words dropped, so the first r rows of a batch do not
+depend on how many rows follow. The padding fixes the bits every stream has
+always drawn: a width that is a multiple of four (d = 8) drops nothing, a
+width of 3 drops one word per row.
 """
 
 from __future__ import annotations
@@ -33,22 +35,18 @@ def _doubles_from_raw(raw: np.ndarray) -> np.ndarray:
     return np.minimum(u, 1.0 - _INV_2_53, out=u)
 
 
-def uniform_rows(seed: int, stream_id: int, start_row: int, rows: int, width: int,
+def uniform_rows(seed: int, stream_id: int, rows: int, width: int,
                  salt: tuple[int, ...] = ()) -> np.ndarray:
-    """Rows [start_row, start_row + rows) of a conceptually unbounded matrix
-    of uniforms on (0, 1), one whole number of counter blocks per row."""
+    """The first ``rows`` rows of a conceptually unbounded matrix of uniforms
+    on (0, 1), one whole number of counter blocks per row."""
     if rows < 0 or width < 1:
         raise ValueError("need rows >= 0 and width >= 1")
-    blocks_per_row = -(-width // _WORDS_PER_BLOCK)
-    gen = philox_stream(seed, stream_id, salt)
-    if start_row:
-        gen.advance(int(start_row) * blocks_per_row)
-    raw = gen.random_raw(rows * blocks_per_row * _WORDS_PER_BLOCK)
-    raw = raw.reshape(rows, blocks_per_row * _WORDS_PER_BLOCK)[:, :width]
-    return _doubles_from_raw(raw)
+    row_words = -(-width // _WORDS_PER_BLOCK) * _WORDS_PER_BLOCK
+    raw = philox_stream(seed, stream_id, salt).random_raw(rows * row_words)
+    return _doubles_from_raw(raw.reshape(rows, row_words)[:, :width])
 
 
-def gaussian_rows(seed: int, stream_id: int, start_row: int, rows: int, width: int,
+def gaussian_rows(seed: int, stream_id: int, rows: int, width: int,
                   salt: tuple[int, ...] = ()) -> np.ndarray:
     """Standard Gaussian counterpart of :func:`uniform_rows`."""
-    return ndtri(uniform_rows(seed, stream_id, start_row, rows, width, salt))
+    return ndtri(uniform_rows(seed, stream_id, rows, width, salt))

@@ -1,4 +1,4 @@
-"""Text interchange helpers: strict CSV parsing and round-trip JSON.
+"""Text interchange helpers: strict CSV parsing, CSV reports and round-trip JSON.
 
 Floats are printed with 17 significant digits everywhere, which is enough
 for IEEE doubles to re-parse to the identical bit pattern, so every report
@@ -8,6 +8,8 @@ rolled because the stdlib encoder offers no control over float formatting.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import os
@@ -25,6 +27,28 @@ def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
     return format(x, ".17g")
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return format_float(value)
+    return str(value)
+
+
+def csv_text(header, rows) -> str:
+    """A header line and one line per row, each ending in a newline.
+
+    Floats are printed by :func:`format_float` and booleans as 0 or 1; a
+    field that holds a comma, a quote or a line break is quoted, so every
+    line has the header's width.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_csv_cell, row) for row in rows)
+    return buffer.getvalue()
 
 
 def dump_json(obj, indent: int = 0) -> str:

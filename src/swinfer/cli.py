@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import inference
-from ._textio import InputError, dump_json, format_float, read_matrix_csv, write_text
+from ._textio import (InputError, csv_text, dump_json, format_float,
+                      read_matrix_csv, write_text)
 # imported only so perfbench's tracer can wrap this name; the pass runs in inference
 from .estimators import _direction_pass  # noqa: F401
 from .geometry import SampleMatrix, sample_directions
@@ -67,27 +68,27 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Sliced transport-cost estimation and two-sample inference.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_data: bool):
-        if with_data:
-            p.add_argument("--x", help="CSV file with the first sample")
-            p.add_argument("--y", help="CSV file with the second sample")
-            p.add_argument("--k", type=int, help="number of random directions")
-            p.add_argument("--p", type=float, help="cost exponent, must exceed 1")
+    ep = sub.add_parser("estimate", help="point estimate with variance")
+    tp = sub.add_parser("test", help="two-sided test of a null value")
+    for p in (ep, tp):
+        p.add_argument("--x", help="CSV file with the first sample")
+        p.add_argument("--y", help="CSV file with the second sample")
+        p.add_argument("--k", type=int, help="number of random directions")
+        p.add_argument("--p", type=float, help="cost exponent, must exceed 1")
         p.add_argument("--level", type=float, help="confidence level (default 0.95)")
         p.add_argument("--seed", type=int, help="seed for all randomness")
         p.add_argument("--threads", type=int, help="worker bound (default 1)")
         p.add_argument("--format", choices=("csv", "json"), dest="fmt",
                        help="report format (default json)")
         p.add_argument("--out", help="output path (default: print to stdout)")
-
-    add_common(sub.add_parser("estimate", help="point estimate with variance"),
-               with_data=True)
-    tp = sub.add_parser("test", help="two-sided test of a null value")
-    add_common(tp, with_data=True)
     tp.add_argument("--delta", type=float, help="null value of the sliced cost")
     sp = sub.add_parser("simulate", help="run a replication plan")
     sp.add_argument("--plan", help="JSON plan file")
-    add_common(sp, with_data=False)
+    sp.add_argument("--seed", type=int, help="replaces the plan's master_seed")
+    sp.add_argument("--threads", type=int,
+                    help="worker processes for the replications (default 1)")
+    sp.add_argument("--out", metavar="PREFIX",
+                    help="write PREFIX.csv and PREFIX.json (default simulation)")
     return parser
 
 
@@ -126,20 +127,8 @@ def _common_values(args):
 
 
 def _emit_report(doc: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = dump_json(doc) + "\n"
-    else:
-        keys = list(doc.keys())
-        cells = []
-        for key in keys:
-            val = doc[key]
-            if isinstance(val, bool):
-                cells.append(str(int(val)))
-            elif isinstance(val, float):
-                cells.append(format_float(val))
-            else:
-                cells.append(str(val))
-        text = ",".join(keys) + "\n" + ",".join(cells) + "\n"
+    text = (dump_json(doc) + "\n" if fmt == "json"
+            else csv_text(doc.keys(), [doc.values()]))
     if out:
         write_text(out, text)
     else:

@@ -58,7 +58,7 @@ def sample_gaussian(spec: GaussianSpec, n: int, seed: int,
     """
     if n < 2:
         raise ValueError("need n >= 2 to form a valid sample matrix")
-    z = gaussian_rows(seed, stream_id, 0, n, spec.d)
+    z = gaussian_rows(seed, stream_id, n, spec.d)
     return SampleMatrix(spec.mean + math.sqrt(spec.sigma_sq) * z)
 
 

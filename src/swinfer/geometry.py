@@ -109,7 +109,7 @@ def sample_directions(d: int, k: int, seed: int, stream_id: int = 0) -> Directio
         raise ValueError(f"dimension must be >= 1, got {d}")
     if k < 1:
         raise ValueError(f"direction count must be >= 1, got {k}")
-    z = _rng.gaussian_rows(seed, stream_id, 0, k, d)
+    z = _rng.gaussian_rows(seed, stream_id, k, d)
     norms = np.sqrt(np.einsum("ij,ij->i", z, z))
     attempt = 0
     while True:
@@ -118,7 +118,7 @@ def sample_directions(d: int, k: int, seed: int, stream_id: int = 0) -> Directio
             break
         attempt += 1
         for row in bad:
-            z[row] = _rng.gaussian_rows(seed, stream_id, 0, 1, d,
+            z[row] = _rng.gaussian_rows(seed, stream_id, 1, d,
                                         salt=(int(row), attempt))[0]
             norms[row] = np.sqrt(z[row] @ z[row])
     return DirectionSet(dirs=z / norms[:, None], k=k, seed=int(seed),

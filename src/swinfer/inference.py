@@ -52,8 +52,10 @@ def test_statistic(estimate: float, delta: float, n: int, m: int, k: int,
     """Studentized statistic for the null value delta.
 
     Raises DegenerateVarianceError when the variance estimate is zero, since
-    the statistic is undefined there.
+    the statistic is undefined there, and ValueError on a non-finite delta.
     """
+    if not math.isfinite(delta):
+        raise ValueError(f"null value delta must be finite, got {delta}")
     if combined_variance < 0.0:
         raise ValueError("combined variance must be nonnegative")
     if combined_variance == 0.0:

@@ -13,12 +13,14 @@ starts from phi(s_(1)) = 0 and steps with
 
     phi(s_(i+1)) = phi(s_(i)) + h(s_(i+1) - t_(r(i))) - h(s_(i) - t_(r(i))),
 
-where r(i) is the largest target rank coupled to source rank i. Together
-with the c-conjugate phi^c(t) = min_i (h(s_(i) - t) - phi(s_(i))) this
-attains the primal cost: strong duality holds exactly for empirical
-measures, up to floating-point rounding. Each step is a difference of costs
-of s - t, so a common translation of both samples leaves every value
-unchanged up to rounding, with nothing large squared before it cancels.
+where r(i) is the largest target rank coupled to source rank i, that is
+ceil(i m / n). The coupling table reads r(i) off its cells, as the target
+of each source rank's last cell, so the rule has one home. Together with
+the c-conjugate phi^c(t) = min_i (h(s_(i) - t) - phi(s_(i))) this attains
+the primal cost: strong duality holds exactly for empirical measures, up
+to floating-point rounding. Each step is a difference of costs of s - t,
+so a common translation of both samples leaves every value unchanged up to
+rounding, with nothing large squared before it cancels.
 """
 
 from __future__ import annotations
@@ -82,18 +84,6 @@ def sort_projection(values) -> SortedProjection:
     return SortedProjection(values=values[perm], perm=perm)
 
 
-def row_assignment(n: int, m: int) -> np.ndarray:
-    """Largest target rank coupled to each source rank, as 1-based ranks.
-
-    Equals ceil(i * m / n) for every i = 1..n (exact integer arithmetic;
-    the last entry is always m). Nondecreasing in i.
-    """
-    if n < 1 or m < 1:
-        raise ValueError("sample sizes must be positive")
-    i = np.arange(1, n + 1, dtype=np.int64)
-    return -(-(i * m) // n)
-
-
 _Coupling = namedtuple("_Coupling", "i0 j0 mass steps")
 
 
@@ -105,23 +95,27 @@ def _coupling(n: int, m: int) -> _Coupling:
     ``mass`` their masses, in increasing quantile order, at most n + m - 1
     cells; per source rank the masses sum to 1/n, per target rank to 1/m.
     ``steps`` holds r(i) - 1 for i = 1..n-1, the target rank each potential
-    step is taken against. Breakpoints are merged exactly, in integers over
-    n*m, by one sort and a dedupe (``np.union1d`` took 18 times as long at
-    60000/36000 on numpy 2.4), so every cell has positive mass.
+    step is taken against: the target rank of source rank i's last cell,
+    read where ``i0`` moves on to the next rank. Breakpoints are merged
+    exactly, in integers over n*m, by one sort and a dedupe (``np.union1d``
+    took 18 times as long at 60000/36000 on numpy 2.4), so every cell has
+    positive mass.
     """
-    steps = row_assignment(n, m)[:-1] - 1
-    steps.setflags(write=False)
+    if n < 1 or m < 1:
+        raise ValueError("sample sizes must be positive")
     if n > m:
         # the breakpoint merge is symmetric: share the (m, n) cells, swapped
         j0, i0, mass, _ = _coupling(m, n)
-        return _Coupling(i0, j0, mass, steps)
-    edges = np.sort(np.concatenate((np.arange(n, dtype=np.int64) * m,
-                                    np.arange(1, m + 1, dtype=np.int64) * n)))
-    edges = edges[np.diff(edges, prepend=-1) != 0]
-    cells = (edges[:-1] // m, edges[:-1] // n, np.diff(edges) / float(n * m))
-    for arr in cells:
-        arr.setflags(write=False)
-    return _Coupling(*cells, steps)
+    else:
+        edges = np.sort(np.concatenate((np.arange(n, dtype=np.int64) * m,
+                                        np.arange(1, m + 1, dtype=np.int64) * n)))
+        edges = edges[np.diff(edges, prepend=-1) != 0]
+        i0, j0, mass = edges[:-1] // m, edges[:-1] // n, np.diff(edges) / float(n * m)
+        for arr in (i0, j0, mass):
+            arr.setflags(write=False)
+    steps = j0[np.flatnonzero(np.diff(i0))]
+    steps.setflags(write=False)
+    return _Coupling(i0, j0, mass, steps)
 
 
 def _pow_cost(diff: np.ndarray, p: float) -> np.ndarray:

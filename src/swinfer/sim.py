@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from functools import partial
 from math import sqrt
 
 import numpy as np
 
-from ._textio import dump_json, format_float
+from ._textio import csv_text, dump_json
 from .distributions import GaussianSpec, sample_gaussian
 from .geometry import sample_directions
 from .inference import (DegenerateVarianceError, InferenceReport, _critical_value,
@@ -68,42 +68,43 @@ def _plan_bool(value) -> bool:
     return value
 
 
-# every plan field's check, which also converts the value it accepts; a float
-# p goes straight to ``_check_p``, which refuses NaN and infinity as an order p
-_PLAN_CHECKS = {
-    "d": _plan_int, "n": _plan_int, "m": _plan_int,
-    "k_values": lambda value: _plan_list(value, _plan_int),
-    "h_values": lambda value: _plan_list(value, _plan_real),
-    "delta": _plan_real, "replications": _plan_int, "master_seed": _plan_int,
-    "p": lambda value: _check_p(value if isinstance(value, float)
-                                else _plan_real(value)),
-    "level": _plan_real, "reuse_directions": _plan_bool,
-}
+def _plan_p(value) -> float:
+    # a float goes straight to _check_p, which refuses NaN and infinity as an order p
+    return _check_p(value if isinstance(value, float) else _plan_real(value))
 
 
-@dataclass(frozen=True)
+def _plan_field(check, default=MISSING):
+    """A plan field whose value ``check`` tests and converts."""
+    return field(default=default, metadata={"check": check})
+
+
+@dataclass(frozen=True, kw_only=True)
 class SimulationPlan:
-    """Cross of direction budgets and shifts, replicated under one seed."""
+    """Cross of direction budgets and shifts, replicated under one seed.
 
-    d: int
-    n: int
-    m: int
-    k_values: tuple[int, ...]
-    h_values: tuple[float, ...]
-    delta: float
-    replications: int
-    master_seed: int
-    p: float = 2.0
-    level: float = 0.95
-    reuse_directions: bool = False
+    Each field is declared once, with its check, in the order the JSON
+    summary echoes them.
+    """
+
+    p: float = _plan_field(_plan_p, default=2.0)
+    d: int = _plan_field(_plan_int)
+    n: int = _plan_field(_plan_int)
+    m: int = _plan_field(_plan_int)
+    k_values: tuple[int, ...] = _plan_field(partial(_plan_list, item=_plan_int))
+    h_values: tuple[float, ...] = _plan_field(partial(_plan_list, item=_plan_real))
+    delta: float = _plan_field(_plan_real)
+    replications: int = _plan_field(_plan_int)
+    level: float = _plan_field(_plan_real, default=0.95)
+    master_seed: int = _plan_field(_plan_int)
+    reuse_directions: bool = _plan_field(_plan_bool, default=False)
 
     def __post_init__(self):
-        for name, check in _PLAN_CHECKS.items():
+        for spec in fields(self):
             try:
-                value = check(getattr(self, name))
+                value = spec.metadata["check"](getattr(self, spec.name))
             except ValueError as exc:
-                raise ValueError(f"plan field {name!r}: {exc}") from None
-            object.__setattr__(self, name, value)
+                raise ValueError(f"plan field {spec.name!r}: {exc}") from None
+            object.__setattr__(self, spec.name, value)
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         _critical_value(self.level)  # refuses a level outside (0, 1)
@@ -261,28 +262,17 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
 
 def result_csv_text(result: SimulationResult) -> str:
     """One row per kept replication: cell ids, statistic, reject flag."""
-    lines = ["k,h,replication,statistic,reject"]
-    for cell in result.cells:
-        for ri, t, flag in zip(cell.replications, cell.statistics, cell.rejects):
-            lines.append(f"{cell.k},{format_float(cell.h)},{ri},"
-                         f"{format_float(t)},{int(flag)}")
-    return "\n".join(lines) + "\n"
+    return csv_text(("k", "h", "replication", "statistic", "reject"),
+                    ((cell.k, cell.h, ri, t, flag)
+                     for cell in result.cells
+                     for ri, t, flag in zip(cell.replications, cell.statistics,
+                                            cell.rejects)))
 
 
 def result_json_text(result: SimulationResult) -> str:
     """Per-cell summary: rejection rate, exclusions, histogram."""
-    plan = result.plan
     doc = {
-        "plan": {
-            "p": plan.p, "d": plan.d, "n": plan.n, "m": plan.m,
-            "k_values": list(plan.k_values),
-            "h_values": list(plan.h_values),
-            "delta": plan.delta,
-            "replications": plan.replications,
-            "level": plan.level,
-            "master_seed": plan.master_seed,
-            "reuse_directions": plan.reuse_directions,
-        },
+        "plan": asdict(result.plan),  # every field, in declaration order
         "cells": [
             {
                 "k": cell.k,

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -76,6 +77,28 @@ def test_csv_and_json_reports_agree_bitwise(data):
         assert float(cells[key]) == doc[key]
 
 
+def test_csv_report_quotes_a_path_with_a_comma(data, tmp_path):
+    """A comma in an input path is quoted, so every CSV row has the
+    header's width, and each cell reads back as the JSON report's value."""
+    x = tmp_path / "first,sample.csv"
+    x.write_bytes(open(data["x"], "rb").read())
+    args = ("test", "--x", str(x), "--y", data["y"], "--k", "16", "--seed", "7",
+            "--delta", "0.3")
+    doc = json.loads(run_cli(*args).stdout)
+    proc = run_cli(*args, "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    header, row = list(csv.reader(proc.stdout.splitlines()))
+    assert header == list(doc) and len(row) == len(header)
+    for key, cell in zip(header, row):
+        value = doc[key]
+        if isinstance(value, bool):
+            assert cell == str(int(value)), key
+        elif isinstance(value, (int, float)):
+            assert float(cell) == value, key
+        else:
+            assert cell == value, key
+
+
 def test_out_flag_writes_file(data, tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli("estimate", "--x", data["x"], "--y", data["y"],
@@ -139,6 +162,14 @@ def test_input_problems_exit_2(data, tmp_path):
     proc = run_cli("estimate", "--x", data["x"], "--y", data["y"],
                    "--k", "8", "--level", "1.5")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
+def test_non_finite_delta_is_named(data, delta):
+    proc = run_cli("test", "--x", data["x"], "--y", data["y"], "--k", "8",
+                   f"--delta={delta}")
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: null value delta must be finite, got {float(delta)}\n"
 
 
 def test_degenerate_variance_exits_3(data, tmp_path):
@@ -353,6 +384,28 @@ def test_simulate_error_is_the_same_for_every_worker_count(tmp_path):
         assert proc.returncode == 2
         assert proc.stderr == "error: statistic must be finite\n"
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--level", "0.5"), ("--format", "csv")])
+def test_simulate_refuses_flags_it_would_ignore(tmp_path, flag, value):
+    """The plan holds the level, and simulate always writes both formats."""
+    plan = write_plan(tmp_path / "plan.json")
+    proc = run_cli("simulate", "--plan", str(plan), "--out", str(tmp_path / "s"),
+                   flag, value)
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {flag}" in proc.stderr
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_simulate_help_names_its_four_flags():
+    proc = run_cli("simulate", "--help")
+    assert proc.returncode == 0, proc.stderr
+    text = " ".join(proc.stdout.split())
+    flags = {word.strip("[],") for word in text.split() if word.startswith(("--", "[--"))}
+    assert flags == {"--help", "--plan", "--seed", "--threads", "--out"}
+    assert "master_seed" in text
+    assert "PREFIX.csv and PREFIX.json (default simulation)" in text
+    assert "stdout" not in text
 
 
 def test_simulate_seed_override(tmp_path):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from potential_reference import row_assignment
 from swinfer import estimators, ot1d
 from swinfer.estimators import _BLOCK_BYTES, _CHUNK, _direction_pass
 from swinfer.geometry import DirectionSet, as_sample_matrix
-from swinfer.ot1d import (_coupling, potential_values_batch, row_assignment,
-                          sort_projection, wasserstein_pp, wasserstein_pp_batch)
+from swinfer.ot1d import (_coupling, potential_values_batch, sort_projection,
+                          wasserstein_pp, wasserstein_pp_batch)
 
 # single points, n == m, n > m and n < m, small and large
 SHAPES = [(1, 1), (1, 4), (7, 7), (7, 3), (3, 7), (300, 300), (300, 200)]
@@ -182,27 +183,21 @@ def test_potential_kernel_single_row_blocks(n, m, p):
 
 def test_coupling_built_once_per_shape(monkeypatch):
     """Over many blocks, the pass builds the (n, m) and (m, n) coupling
-    tables once each: ``row_assignment`` runs once per orientation."""
-    calls, blocks = [], []
-    row_assignment = ot1d.row_assignment
+    tables once each: the table cache misses once per orientation."""
+    blocks = []
     cost_kernel = estimators.wasserstein_pp_batch
-
-    def spy(n, m):
-        calls.append((n, m))
-        return row_assignment(n, m)
 
     def count_blocks(S, T, p):
         blocks.append(S.shape[0])
         return cost_kernel(S, T, p)
 
-    monkeypatch.setattr(ot1d, "row_assignment", spy)
     monkeypatch.setattr(estimators, "wasserstein_pp_batch", count_blocks)
     monkeypatch.setattr(estimators, "_BLOCK_BYTES", 8 * (37 + 23) * 3)
     ot1d._coupling.cache_clear()
     X, Y, dirs = random_pass_inputs(np.random.default_rng(5), 37, 23, 3, 40)
     _direction_pass(X, Y, dirs, 3.0, True, 1)
     assert blocks == [3] * 13 + [1]
-    assert sorted(calls) == [(23, 37), (37, 23)]
+    assert ot1d._coupling.cache_info().misses == 2
 
 
 @pytest.mark.parametrize("threads", [1, 2])

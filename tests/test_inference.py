@@ -49,6 +49,19 @@ def test_statistic_degenerate_and_negative_variance():
         studentized(1.0, 0.0, 10, 10, 5, -1.0)
 
 
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_non_finite_delta_is_named(delta):
+    message = f"null value delta must be finite, got {delta}"
+    with pytest.raises(ValueError, match=message):
+        studentized(1.0, delta, 10, 10, 5, 2.0)
+    # named before the variance is looked at
+    with pytest.raises(ValueError, match=message):
+        studentized(1.0, delta, 10, 10, 5, 0.0)
+    X, Y = gaussian_pair(3)
+    with pytest.raises(ValueError, match=message):
+        analyze(X, Y, sample_directions(3, 8, seed=4), delta=delta)
+
+
 def test_pvalue_examples():
     assert two_sided_pvalue(0.0) == 1.0
     assert two_sided_pvalue(Z_975) == pytest.approx(0.05, rel=1e-9)

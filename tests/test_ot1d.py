@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from swinfer.ot1d import _coupling, sort_projection, wasserstein_pp
+from swinfer.ot1d import SortedProjection, _coupling, sort_projection, wasserstein_pp
 
 
 def brute_cells(n, m):
@@ -128,6 +128,15 @@ def test_wasserstein_rejects_small_p():
     for bad in (1.0, 0.5, -2.0, np.nan):
         with pytest.raises(ValueError):
             wasserstein_pp(s, s, bad)
+
+
+def test_coupling_refuses_an_empty_sample():
+    """An empty sample has no coupling; the cost says so instead of 0."""
+    empty = SortedProjection(values=np.zeros(0), perm=np.zeros(0, dtype=int))
+    s = sort_projection(np.array([0.0, 1.0]))
+    for a, b in ((empty, s), (s, empty), (empty, empty)):
+        with pytest.raises(ValueError, match="sample sizes must be positive"):
+            wasserstein_pp(a, b, 2.0)
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])

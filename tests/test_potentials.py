@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from potential_reference import row_assignment
 from swinfer.ot1d import (_coupling, c_conjugate, duality_gap, potential_values,
-                          potential_values_batch, row_assignment, sort_projection,
-                          wasserstein_pp)
+                          potential_values_batch, sort_projection, wasserstein_pp)
 
 
 def c_conjugate_brute(phi_at_s, svals, t_points, p=2.0):
@@ -39,6 +39,20 @@ def test_row_assignment_matches_cell_oracle(n, m):
     assert_array_equal(got, rank_from_cells(n, m))
     assert got[-1] == m
     assert (np.diff(got) >= 0).all()
+    assert_array_equal(_coupling(n, m).steps, got[:-1] - 1)
+
+
+def test_coupling_steps_match_closed_form():
+    """The step targets read off the cells are r(i) - 1 = ceil(i m / n) - 1,
+    on every small shape and on the benchmark's and tests' large ones."""
+    large = [(60000, 36000), (36000, 60000), (4000, 4000), (500, 300),
+             (300, 500), (4096, 4097)]
+    small = [(n, m) for n in range(1, 50) for m in range(1, 50)]
+    for n, m in large + small:
+        steps = _coupling(n, m).steps
+        assert steps.dtype == np.int64 and not steps.flags.writeable
+        assert_array_equal(steps, row_assignment(n, m)[:-1] - 1,
+                           err_msg=f"n={n}, m={m}")
 
 
 def test_potential_values_hand_recursion():

@@ -10,6 +10,8 @@ import pytest
 from scipy.special import ndtri
 
 import swinfer.sim as sim
+from swinfer import cli
+from swinfer.inference import DegenerateVarianceError
 from swinfer.sim import (SimulationPlan, _replication_streams, result_csv_text,
                          result_json_text, run_plan)
 
@@ -162,9 +164,11 @@ def test_json_text_parses_and_echoes_plan():
     plan = tiny_plan(k_values=(3, 5), replications=4)
     result = run_plan(plan)
     doc = json.loads(result_json_text(result))
-    assert doc["plan"]["n"] == plan.n
+    assert list(doc["plan"]) == ["p", "d", "n", "m", "k_values", "h_values",
+                                 "delta", "replications", "level",
+                                 "master_seed", "reuse_directions"]
+    assert SimulationPlan(**doc["plan"]) == plan
     assert doc["plan"]["k_values"] == [3, 5]
-    assert doc["plan"]["master_seed"] == plan.master_seed
     assert len(doc["cells"]) == 2
     for cell_doc, cell in zip(doc["cells"], result.cells):
         assert cell_doc["k"] == cell.k
@@ -221,6 +225,37 @@ def test_csv_keeps_replication_indices_after_exclusion(monkeypatch):
 # a patch of the parent's module reaches the workers only when they are forked
 forked_workers = pytest.mark.skipif(not sys.platform.startswith("linux"),
                                     reason="workers are forked on Linux only")
+
+
+@pytest.mark.parametrize("threads", [1, pytest.param(2, marks=forked_workers)])
+def test_cell_with_every_replication_excluded(monkeypatch, tmp_path, capsys,
+                                              threads):
+    """Every replication's variance degenerates: the cell keeps no
+    statistic, its rate is NaN, and each output says so."""
+    def analyze(*args, **kwargs):
+        raise DegenerateVarianceError("combined variance estimate is zero")
+
+    monkeypatch.setattr(sim, "analyze", analyze)
+    plan = tiny_plan(replications=3)
+    result = run_plan(plan, threads=threads)
+    cell = result.cells[0]
+    assert cell.excluded == plan.replications
+    assert np.isnan(cell.rejection_rate)
+    assert cell.statistics.size == cell.replications.size == 0
+    doc = json.loads(result_json_text(result))["cells"][0]
+    assert doc["rejection_rate"] is None and doc["excluded"] == 3
+    assert doc["histogram"] == {"edges": [0.0], "counts": []}
+    assert result_csv_text(result) == "k,h,replication,statistic,reject\n"
+
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"d": 2, "n": 25, "m": 20, "k": 4,
+                                "h_values": [0.0], "delta": 1.0,
+                                "replications": 3, "master_seed": 99}))
+    out = tmp_path / "s"
+    assert cli.main(["simulate", "--plan", str(path), "--out", str(out),
+                     "--threads", str(threads)]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "4 0 nan 3"
+    assert (tmp_path / "s.csv").read_text() == result_csv_text(result)
 
 
 @forked_workers
