@@ -1,9 +1,9 @@
 """Text interchange helpers: strict CSV parsing, CSV reports and round-trip JSON.
 
-Floats are printed with 17 significant digits everywhere, which is enough
-for IEEE doubles to re-parse to the identical bit pattern, so every report
-emitted by this package round-trips exactly. The JSON emitter is hand
-rolled because the stdlib encoder offers no control over float formatting.
+Every float in a report is spelled by ``repr``: the shortest text that
+re-parses to the identical double, so every report emitted by this package
+round-trips exactly. JSON goes through the stdlib ``json`` encoder, CSV
+through the stdlib ``csv`` writer.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def format_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
-    return format(x, ".17g")
+    return repr(x)
 
 
 def _csv_cell(value) -> str:
@@ -51,36 +51,18 @@ def csv_text(header, rows) -> str:
     return buffer.getvalue()
 
 
-def dump_json(obj, indent: int = 0) -> str:
-    """Serialize dicts, lists, strings, bools, ints, floats and None.
-
-    Dict keys keep insertion order; floats go through :func:`format_float`.
-    """
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(key))}: {dump_json(val, indent + 2)}"
-                 for key, val in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        parts = [f"{inner}{dump_json(val, indent + 2)}" for val in seq]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
+def _to_python(obj):
+    """A numpy scalar or array as Python values, for the JSON encoder."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def dump_json(obj) -> str:
+    """Serialize dicts, lists, strings, bools, ints, floats, None and numpy
+    values, two-space indented, in key insertion order; a non-finite float
+    raises ValueError."""
+    return json.dumps(obj, indent=2, allow_nan=False, default=_to_python)
 
 
 def read_matrix_csv(path: str) -> np.ndarray:

@@ -2,9 +2,9 @@
 
 Inputs are headerless CSV files of floats, one observation per row; the
 coordinate dimension is inferred and cross-checked between files. Reports
-are JSON or CSV with floats at 17 significant digits, so emitted numbers
-re-parse bit-exactly. Every flag has an environment fallback named
-SWINFER_<FLAG>; an explicit flag wins over the environment.
+are JSON or CSV with floats spelled by ``repr``, so emitted numbers re-parse
+bit-exactly. Every flag has an environment fallback named SWINFER_<FLAG>; an
+explicit flag wins over the environment.
 
 Exit codes: 0 on success, 2 on any input problem, 3 when the variance
 estimate degenerates to zero and no statistic exists.
@@ -18,13 +18,11 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import inference
 from ._textio import (InputError, csv_text, dump_json, format_float,
                       read_matrix_csv, write_text)
-# imported only so perfbench's tracer can wrap this name; the pass runs in inference
-from .estimators import _direction_pass  # noqa: F401
+# _direction_pass only so perfbench's tracer can wrap it; the pass runs in inference
+from .estimators import _check_threads, _direction_pass  # noqa: F401
 from .geometry import SampleMatrix, sample_directions
 from .inference import (DegenerateVarianceError, _estimate_and_variance,
                         confidence_interval, effective_rate)
@@ -121,8 +119,7 @@ def _common_values(args):
     if k < 2:
         raise InputError(f"need at least 2 directions, got k={k}")
     inference._critical_value(level)  # refuses a level outside (0, 1)
-    if threads < 1:
-        raise InputError(f"threads must be positive, got {threads}")
+    _check_threads(threads)
     return _check_p(p), k, level, seed, threads, fmt, out
 
 
@@ -224,8 +221,7 @@ def cmd_simulate(args) -> int:
     seed = _resolve(args.seed, "SEED", int, default=None)
     threads = _resolve(args.threads, "THREADS", int, default=1)
     out = _resolve(args.out, "OUT", str, default="simulation")
-    if threads < 1:
-        raise InputError(f"threads must be positive, got {threads}")
+    _check_threads(threads)
     plan = _load_plan(plan_path, seed)
     try:
         result = run_plan(plan, threads=threads)
@@ -236,17 +232,24 @@ def cmd_simulate(args) -> int:
     write_text(json_path, result_json_text(result))
     sys.stdout.write("k h rejection_rate excluded\n")
     for cell in result.cells:
-        rate = "nan" if np.isnan(cell.rejection_rate) \
-            else format(cell.rejection_rate, ".4f")
-        sys.stdout.write(f"{cell.k} {format_float(cell.h)} {rate} "
-                         f"{cell.excluded}\n")
+        sys.stdout.write(f"{cell.k} {format_float(cell.h)} "
+                         f"{cell.rejection_rate:.4f} {cell.excluded}\n")
     sys.stdout.write(f"wrote {csv_path} and {json_path}\n")
     return _EXIT_OK
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value such as -1e-3 or -inf for an option, so each
+    # value that float accepts is joined to its float flag, as --delta=-1e-3
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--p", "--level", "--delta"):
+            try:
+                float(argv[i])
+            except ValueError:
+                continue
+            argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    args = _build_parser().parse_args(argv)
     handlers = {"estimate": cmd_estimate, "test": cmd_test,
                 "simulate": cmd_simulate}
     try:

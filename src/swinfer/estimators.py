@@ -130,6 +130,12 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     return costs, gx_sum, gy_sum
 
 
+def _check_threads(threads: int) -> None:
+    """Refuse a worker bound below 1."""
+    if threads < 1:
+        raise ValueError(f"threads must be positive, got {threads}")
+
+
 def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float,
                     potentials: bool, threads: int):
     """One sweep over all directions, chunked for memory and parallelism.
@@ -149,6 +155,7 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     ``_CHUNK`` alone, and chunk results are reduced in chunk order after
     all workers finish, so the output does not depend on the worker count.
     """
+    _check_threads(threads)
     if X.d != Y.d or X.d != dirs.d:
         raise ValueError(
             f"dimension mismatch: X d={X.d}, Y d={Y.d}, dirs d={dirs.d}")
@@ -193,8 +200,8 @@ def sliced_estimate(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     p : float
         Cost exponent, must exceed 1.
     threads : int
-        Worker bound for the direction sweep; the result is identical for
-        every value.
+        Worker bound for the direction sweep, at least 1; the result is
+        identical for every value.
 
     Returns
     -------

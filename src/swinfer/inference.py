@@ -123,7 +123,7 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
     level : float
         Confidence level for the interval.
     threads : int
-        Worker bound; results are identical for every value.
+        Worker bound, at least 1; results are identical for every value.
 
     Returns
     -------

@@ -26,6 +26,7 @@ import numpy as np
 
 from ._textio import csv_text, dump_json
 from .distributions import GaussianSpec, sample_gaussian
+from .estimators import _check_threads
 from .geometry import sample_directions
 from .inference import (DegenerateVarianceError, InferenceReport, _critical_value,
                         analyze)
@@ -208,7 +209,8 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
     ----------
     plan : SimulationPlan
     threads : int
-        Worker bound. At 1 the replications run here, one after another.
+        Worker bound, at least 1 (checked before any replication runs).
+        At 1 the replications run here, one after another.
         Above 1 they run on ``min(threads, replications of all cells)``
         worker processes, forked on Linux (the platform's default start
         method elsewhere), each with its own heap; a fork copies no other
@@ -225,6 +227,7 @@ def run_plan(plan: SimulationPlan, threads: int = 1) -> SimulationResult:
         replications excluded with a count), the rejection rate (the mean of
         those flags) and a histogram of ``_HIST_BINS`` equal-width bins.
     """
+    _check_threads(threads)
     tasks = [(ci, ri, k, h)
              for ci, (k, h) in enumerate(plan.cells)
              for ri in range(plan.replications)]
@@ -280,10 +283,8 @@ def result_json_text(result: SimulationResult) -> str:
                 "rejection_rate": (None if np.isnan(cell.rejection_rate)
                                    else cell.rejection_rate),
                 "excluded": cell.excluded,
-                "histogram": {
-                    "edges": [float(e) for e in cell.hist_edges],
-                    "counts": [int(c) for c in cell.hist_counts],
-                },
+                "histogram": {"edges": cell.hist_edges,
+                              "counts": cell.hist_counts},
             }
             for cell in result.cells
         ],

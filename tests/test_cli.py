@@ -66,15 +66,25 @@ def test_estimate_is_deterministic(data):
 
 
 def test_csv_and_json_reports_agree_bitwise(data):
-    doc = estimate_json(data)
-    proc = run_cli("estimate", "--x", data["x"], "--y", data["y"],
-                   "--k", "16", "--seed", "7", "--format", "csv")
-    assert proc.returncode == 0
-    header, row = proc.stdout.strip().split("\n")
-    cells = dict(zip(header.split(","), row.split(",")))
-    for key in ("estimate", "w_hat_sq", "combined_variance",
-                "ci_low", "ci_high", "tau_hat"):
-        assert float(cells[key]) == doc[key]
+    """Every float cell of the CSV row parses to the JSON report's value, bit
+    for bit (``float.hex`` tells -0.0 from 0.0); p, level and a null value
+    of -0.0 re-parse from the JSON as floats, the last with its sign."""
+    for command in (("estimate",), ("test", "--delta=-0.0")):
+        args = (*command, "--x", data["x"], "--y", data["y"], "--k", "16",
+                "--seed", "7")
+        proc = run_cli(*args)
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        proc = run_cli(*args, "--format", "csv")
+        assert proc.returncode == 0, proc.stderr
+        header, row = csv.reader(proc.stdout.splitlines())
+        assert header == list(doc)
+        floats = {key: cell for key, cell in zip(header, row)
+                  if isinstance(doc[key], float)}
+        assert {"p", "level", "estimate", "ci_low", "ci_high"} <= set(floats)
+        for key, cell in floats.items():
+            assert float(cell).hex() == doc[key].hex(), key
+    assert doc["delta"].hex() == "-0x0.0p+0"
 
 
 def test_csv_report_quotes_a_path_with_a_comma(data, tmp_path):
@@ -238,6 +248,36 @@ def test_bad_level_named_before_files_are_read(tmp_path):
         assert proc.returncode == 2
         assert "level must lie in (0, 1)" in proc.stderr
         assert "cannot open" not in proc.stderr
+
+
+def test_negative_float_values_reach_their_flag(data, tmp_path):
+    """A value that argparse would take for an option reaches its flag."""
+    proc = run_cli("test", "--x", data["x"], "--y", data["y"], "--k", "8",
+                   "--delta", "-1e-3")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["delta"] == -0.001
+
+    proc = run_cli("test", "--x", data["x"], "--y", data["y"], "--k", "8",
+                   "--delta", "-inf")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: null value delta must be finite, got -inf\n"
+
+    missing = str(tmp_path / "missing.csv")
+    proc = run_cli("test", "--x", missing, "--y", missing, "--k", "8",
+                   "--delta", "0", "--level", "-1e-1")
+    assert proc.returncode == 2
+    assert "level must lie in (0, 1)" in proc.stderr
+
+
+def test_threads_below_one_exit_2_before_files_are_read(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    for args in (("estimate", "--x", missing, "--y", missing, "--k", "8"),
+                 ("test", "--x", missing, "--y", missing, "--k", "8",
+                  "--delta", "0"),
+                 ("simulate", "--plan", str(tmp_path / "missing.json"))):
+        proc = run_cli(*args, "--threads", "0")
+        assert proc.returncode == 2
+        assert proc.stderr == "error: threads must be positive, got 0\n"
 
 
 def test_env_fallback_and_flag_priority(data):

@@ -74,6 +74,14 @@ def test_estimate_threads_do_not_change_result():
     assert a.sw_pp == b.sw_pp
 
 
+@pytest.mark.parametrize("threads", [0, -1])
+def test_estimate_refuses_a_worker_bound_below_one(threads):
+    X, Y = make_pair(6)
+    dirs = sample_directions(4, 8, seed=1)
+    with pytest.raises(ValueError, match=f"threads must be positive, got {threads}"):
+        sliced_estimate(X, Y, dirs, threads=threads)
+
+
 def test_estimate_rejects_mismatch_and_bad_p():
     X, Y = make_pair(5)
     dirs3 = sample_directions(3, 4, seed=0)

@@ -173,6 +173,14 @@ def test_analyze_threads_bitwise_identical():
     assert (a.ci_low, a.ci_high) == (b.ci_low, b.ci_high)
 
 
+def test_analyze_refuses_a_worker_bound_below_one():
+    rng = np.random.default_rng(5)
+    X = as_sample_matrix(rng.normal(size=(20, 2)))
+    dirs = sample_directions(2, 8, seed=1)
+    with pytest.raises(ValueError, match="threads must be positive, got 0"):
+        analyze(X, X, dirs, threads=0)
+
+
 def test_analyze_blends_at_every_exponent():
     # the potentials of the same cost |s - t|^p feed the blend at any p > 1
     X, Y = gaussian_pair(7, n=200, m=150)

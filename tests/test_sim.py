@@ -156,7 +156,7 @@ def test_csv_text_round_trips():
         k, h, ri, stat, flag = row.split(",")
         assert int(k) == 4
         assert float(h) == 0.0
-        assert float(stat) == t  # 17 significant digits survive the trip
+        assert float(stat) == t  # repr's shortest spelling survives the trip
         assert int(flag) == int(abs(t) > q)
 
 
@@ -254,7 +254,7 @@ def test_cell_with_every_replication_excluded(monkeypatch, tmp_path, capsys,
     out = tmp_path / "s"
     assert cli.main(["simulate", "--plan", str(path), "--out", str(out),
                      "--threads", str(threads)]) == 0
-    assert capsys.readouterr().out.splitlines()[1] == "4 0 nan 3"
+    assert capsys.readouterr().out.splitlines()[1] == "4 0.0 nan 3"
     assert (tmp_path / "s.csv").read_text() == result_csv_text(result)
 
 
@@ -340,3 +340,14 @@ def test_pool_never_outnumbers_the_replications(monkeypatch):
         result_csv_text(run_plan(single))
     assert sizes == [2]
     assert multiprocessing.active_children() == []
+
+
+def test_run_plan_refuses_a_worker_bound_below_one(monkeypatch):
+    """Refused before any replication runs or any worker forks."""
+    def fail(*args, **kwargs):
+        raise AssertionError("ran a replication")
+
+    monkeypatch.setattr(sim, "_worker_pool", fail)
+    monkeypatch.setattr(sim, "_one_replication", fail)
+    with pytest.raises(ValueError, match="threads must be positive, got 0"):
+        run_plan(tiny_plan(), threads=0)

@@ -17,8 +17,8 @@ from swinfer._textio import (InputError, _read_matrix_csv_strict, dump_json,
 
 
 def test_format_float_examples():
-    assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(1.0) == "1"
+    assert format_float(0.1) == "0.1"
+    assert format_float(1.0) == "1.0"
     assert format_float(-2.5e-300) == "-2.5e-300"
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError):
@@ -57,10 +57,26 @@ def test_dump_json_keeps_bool_and_int_apart():
 
 
 def test_dump_json_floats_reparse_exactly():
-    values = [0.1, 1 / 3, 2 ** -1074, 1e308, -0.0]
+    """Each float comes back a float with the same bits (``float.hex`` tells
+    -0.0 from 0.0, and an int has no ``hex`` method)."""
+    values = [-0.0, 1.0, 2.0 ** 53, 1e16, 5e-324, 0.1, 1 / 3, 1e308]
     parsed = json.loads(dump_json({"v": values}))
-    for got, want in zip(parsed["v"], values):
-        assert got == want
+    assert [type(got) for got in parsed["v"]] == [float] * len(values)
+    assert [got.hex() for got in parsed["v"]] == [want.hex() for want in values]
+
+
+def test_dump_json_takes_numpy_values():
+    doc = {"flag": np.bool_(True), "count": np.int64(3),
+           "x": np.float64(-0.0), "rows": np.array([[1, 2], [3, 4]]),
+           "values": np.array([0.5, 2.0])}
+    parsed = json.loads(dump_json(doc))
+    assert parsed == {"flag": True, "count": 3, "x": -0.0,
+                      "rows": [[1, 2], [3, 4]], "values": [0.5, 2.0]}
+    assert parsed["flag"] is True and math.copysign(1.0, parsed["x"]) == -1.0
+    for bad in (math.nan, math.inf, -math.inf, np.float64(math.nan),
+                np.array([1.0, math.inf])):
+        with pytest.raises(ValueError):
+            dump_json({"v": bad})
 
 
 def test_read_matrix_csv_happy_path(tmp_path):
