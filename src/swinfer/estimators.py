@@ -19,15 +19,23 @@ on request, the direction-averaged potentials; ``sliced_estimate``,
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import DirectionSet, SampleMatrix
-from .ot1d import _finite, _quiet, potential_values_batch, wasserstein_pp_batch
+from .ot1d import (_coupling, _finite, _quiet, potential_values_batch,
+                   wasserstein_pp_batch)
 
 _CHUNK = 512
+# bytes of projected values (both samples) that one GEMM per sample writes
+# at a time: a chunk is projected a panel of rows after another, into one
+# buffer per sample. Panels are cut by (n, m) alone, never by the block
+# rule, because BLAS may round a row differently in a product of another
+# height; with n + m <= 1024 a panel is a whole chunk
+_PANEL_BYTES = 4 * 1024 * 1024
 # bytes of projected values (both samples) that ``_pass_chunk`` handles at a
 # time; small enough that a block and its intermediates stay in a core's L2
 _BLOCK_BYTES = 256 * 1024
@@ -63,21 +71,48 @@ class VarianceComponents:
     combined: float
 
 
-def _sorted_order(block: np.ndarray):
-    """(sorted rows, their sorting permutation); see ``_pass_chunk``."""
-    n = block.shape[1]
+class _Side:
+    """One sample's sorted block in a chunk's working set: the sort keys,
+    which end as the permutation, the sorted rows and their sortedness
+    flags, each of its exact width, so that a block's rows are a
+    contiguous prefix."""
+
+    def __init__(self, rows: int, n: int):
+        self.index = np.arange(n)
+        # turn each row's column indices into indices of the raveled block
+        self.offsets = np.arange(rows)[:, None] * n
+        self.order = np.empty((rows, n), dtype=np.int64)
+        self.values = np.empty((rows, n))
+        self.ordered = np.empty((rows, n - 1), dtype=bool)
+
+
+def _carve(arena: np.ndarray, shape, start: int = 0) -> np.ndarray:
+    """A C-ordered float array of ``shape`` over ``arena`` from ``start``:
+    of its exact width, so never a column slice."""
+    return arena[start:start + math.prod(shape)].reshape(shape)
+
+
+def _sorted_order(block: np.ndarray, side: _Side, arena: np.ndarray):
+    """(sorted rows, their sorting permutation), written into ``side``'s
+    buffers, with ``arena`` as scratch; see ``_pass_chunk``."""
+    rows, n = block.shape
+    order, s = side.order[:rows], side.values[:rows]
+    flat = _carve(arena, (rows, n)).view(np.int64)
     low = (1 << max(1, (n - 1).bit_length())) - 1
-    order = block.view(np.int64) & ~low
-    order |= np.arange(n)
+    np.bitwise_and(block.view(np.int64), ~low, out=order)
+    order |= side.index
     order.view(np.float64).sort(axis=1)
     nan = np.isnan(order.view(np.float64)[:, -1]).any()
     order &= low
-    # a row offset turns each row's order into indices of the raveled block
-    at = np.arange(block.shape[0])[:, None] * n
-    s = block.ravel().take(order + at)
-    if nan or not (s[:, 1:] >= s[:, :-1]).all():
-        order = np.argsort(block, axis=1)
-        s = block.ravel().take(order + at)
+    # an index read off a NaN key may point anywhere, but then ``nan`` sends
+    # the block to the argsort; every other index is in range
+    block.ravel().take(np.add(order, side.offsets[:rows], out=flat), out=s,
+                       mode="clip")
+    ordered = np.greater_equal(s[:, 1:], s[:, :-1], out=side.ordered[:rows])
+    if nan or not ordered.all():
+        order[...] = np.argsort(block, axis=1)
+        block.ravel().take(np.add(order, side.offsets[:rows], out=flat), out=s,
+                           mode="clip")
     return s, order
 
 
@@ -85,11 +120,21 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
                 potentials: bool):
     """Costs and potential sums of one chunk: (costs, gx_sum, gy_sum).
 
-    After the chunk's two projection GEMMs, the rows are walked in blocks
-    of ``_BLOCK_BYTES // (8 (n + m))`` directions (at least one), so that a
-    block's sorts, gathers, costs, potentials and scatter stay in cache.
-    Costs depend on the sorted values alone; without ``potentials`` each
-    block is sorted in place and the sums are None.
+    The chunk is projected a panel of ``_PANEL_BYTES // (8 (n + m))``
+    directions at a time (at least one, at most the chunk), starting at its
+    first row, by one GEMM per sample into two buffers that every panel
+    reuses. A panel's rows are walked in blocks of ``_BLOCK_BYTES // (8 (n +
+    m))`` directions (at least one, at most the panel), so that a block's
+    sorts, gathers, costs, potentials and scatter stay in cache; no block
+    straddles two panels. Every block temporary lives in one working set,
+    allocated once per chunk and written through ``out=``, so the block
+    loop allocates no block-sized array: each sample's sort keys, sorted
+    rows and sortedness flags (``_Side``), and one arena that the block's
+    stages take in turn, for the gathers' flat indices, the cost cells and
+    each sample's potentials and step scratch. A worker holds one panel
+    and one block's buffers, whatever k. Costs depend on the sorted values
+    alone; without ``potentials`` each block is sorted in place and the
+    sums are None.
 
     Otherwise ``_sorted_order`` gets each row's permutation from a value
     sort, several times faster than an argsort. With b = max(1, bit
@@ -108,25 +153,42 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     h(s - t) for the same floats, exactly 0. So the sums do not depend on
     which permutation sorts a row.
     """
-    px = dir_rows @ X.data.T
-    py = dir_rows @ Y.data.T
-    (k, n), m = px.shape, Y.n
-    rows = max(1, _BLOCK_BYTES // (8 * (n + m)))
+    (k, _), n, m = dir_rows.shape, X.n, Y.n
+    height = min(k, max(1, _PANEL_BYTES // (8 * (n + m))))
+    rows = min(height, max(1, _BLOCK_BYTES // (8 * (n + m))))
+    panel_x, panel_y = np.empty((height, n)), np.empty((height, m))
+    layers, cells = (1 if n == m else 2), _coupling(n, m).mass.size
+    # the largest stage: the cost cells, or one sample's potentials and step
+    # scratch (which also cover the gather's flat indices)
+    arena = np.empty(rows * max(layers * cells, 2 * max(n, m) - 1))
     costs = np.empty(k)
-    gx_sum = np.zeros(n) if potentials else None
-    gy_sum = np.zeros(m) if potentials else None
-    for lo in range(0, k, rows):
-        bx, by = px[lo:lo + rows], py[lo:lo + rows]
-        if not potentials:
-            bx.sort(axis=1)
-            by.sort(axis=1)
-            costs[lo:lo + rows] = wasserstein_pp_batch(bx, by, p)
-            continue
-        sx, ox = _sorted_order(bx)
-        sy, oy = _sorted_order(by)
-        costs[lo:lo + rows] = wasserstein_pp_batch(sx, sy, p)
-        np.add.at(gx_sum, ox.ravel(), potential_values_batch(sx, sy, p).ravel())
-        np.add.at(gy_sum, oy.ravel(), potential_values_batch(sy, sx, p).ravel())
+    if potentials:
+        side_x, side_y = _Side(rows, n), _Side(rows, m)
+        gx_sum, gy_sum = np.zeros(n), np.zeros(m)
+    else:
+        gx_sum = gy_sum = None
+    for top in range(0, k, height):
+        panel = dir_rows[top:top + height]
+        px = np.matmul(panel, X.data.T, out=panel_x[:len(panel)])
+        py = np.matmul(panel, Y.data.T, out=panel_y[:len(panel)])
+        for lo in range(0, len(panel), rows):
+            bx, by = px[lo:lo + rows], py[lo:lo + rows]
+            r = len(bx)
+            block_costs = costs[top + lo:top + lo + r]
+            block_cells = _carve(arena, (layers, r, cells))
+            if not potentials:
+                bx.sort(axis=1)
+                by.sort(axis=1)
+                wasserstein_pp_batch(bx, by, p, out=block_costs, cells=block_cells)
+                continue
+            sx, ox = _sorted_order(bx, side_x, arena)
+            sy, oy = _sorted_order(by, side_y, arena)
+            wasserstein_pp_batch(sx, sy, p, out=block_costs, cells=block_cells)
+            for sums, s, t, order in ((gx_sum, sx, sy, ox), (gy_sum, sy, sx, oy)):
+                phi = _carve(arena, s.shape)
+                upper = _carve(arena, (r, s.shape[1] - 1), phi.size)
+                potential_values_batch(s, t, p, out=phi, upper=upper)
+                np.add.at(sums, order.ravel(), phi.ravel())
     return costs, gx_sum, gy_sum
 
 
@@ -148,12 +210,16 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     with numpy's warnings silenced.
 
     In a chunk, ``np.add.at`` adds each potential to its input-order slot,
-    from +0.0 and in direction order, block after block: the sums of the
-    scattered array over axis 0, bit for bit, as a potential is never -0.0,
-    whatever the block height (``np.add.at`` gives the same sums before
-    numpy 1.25, only several times slower). Chunk boundaries are fixed by
-    ``_CHUNK`` alone, and chunk results are reduced in chunk order after
-    all workers finish, so the output does not depend on the worker count.
+    from +0.0 and in direction order, block after block and panel after
+    panel: the sums of the scattered array over axis 0, bit for bit, as a
+    potential is never -0.0, whatever the block height (``np.add.at`` gives
+    the same sums before numpy 1.25, only several times slower). Chunk
+    boundaries are fixed by ``_CHUNK`` alone and panel boundaries by
+    ``_CHUNK`` and (n, m) alone, and chunk results are added in chunk order
+    as they arrive, so the output does not depend on the worker count.
+    Each worker holds one chunk's panel and working set (see
+    ``_pass_chunk``), so memory grows with (n, m) and the worker count,
+    not with k.
     """
     _check_threads(threads)
     if X.d != Y.d or X.d != dirs.d:
@@ -166,19 +232,21 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
         with _quiet():
             return _pass_chunk(X, Y, dirs.dirs[lo:lo + _CHUNK], p, potentials)
 
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(work, starts))
-    else:
-        parts = [work(lo) for lo in starts]
-
-    per_direction = np.concatenate([costs for costs, _, _ in parts])
-    g_x = g_y = None
-    with _quiet():
+    per_direction = np.empty(k)
+    g_x = np.zeros(X.n) if potentials else None
+    g_y = np.zeros(Y.n) if potentials else None
+    with ThreadPoolExecutor(max_workers=threads) as pool, _quiet():
+        parts = (pool.map(work, starts) if threads > 1 and len(starts) > 1
+                 else map(work, starts))
+        for lo, (costs, gx_sum, gy_sum) in zip(starts, parts):
+            per_direction[lo:lo + _CHUNK] = costs
+            if potentials:
+                g_x += gx_sum
+                g_y += gy_sum
         sw_pp = float(np.mean(per_direction))
         if potentials:
-            g_x = sum((gx_sum for _, gx_sum, _ in parts), np.zeros(X.n)) / k
-            g_y = sum((gy_sum for _, _, gy_sum in parts), np.zeros(Y.n)) / k
+            g_x /= k
+            g_y /= k
     for values in (sw_pp, per_direction, g_x, g_y):
         if values is not None:
             _finite(values)

@@ -157,11 +157,16 @@ def wasserstein_pp(s: SortedProjection, t: SortedProjection, p: float) -> float:
     return _finite(cost)
 
 
-def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float) -> np.ndarray:
+def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float,
+                         out: np.ndarray | None = None,
+                         cells: np.ndarray | None = None) -> np.ndarray:
     """Row-wise W_p^p for stacks of pre-sorted samples.
 
     ``S`` has shape (k, n) and ``T`` shape (k, m), each row sorted; the
-    result is the length-k vector of per-row costs.
+    result is the length-k vector of per-row costs, written into ``out``
+    if given. ``cells``, if given, is a C-ordered (2, k, c) array, c the
+    number of coupling cells, whose layers stand in for the two gathers'
+    fresh arrays; (1, k, c) will do when n == m. Neither changes a bit.
 
     The cell costs are built C-ordered (``take``; a fancy index would give
     Fortran order), so ``sum(axis=1)`` reduces each contiguous row alone,
@@ -171,14 +176,17 @@ def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float) -> np.ndarray:
     """
     p = _check_p(p)
     i0, j0, mass, _ = _coupling(S.shape[1], T.shape[1])
+    diff, gathered = (None, None) if cells is None else (cells[0], cells[-1])
     if S.shape[1] == T.shape[1]:
-        diff = np.subtract(S, T)
+        diff = np.subtract(S, T, out=diff)
     else:
-        diff = S.take(i0, axis=1)
-        diff -= T.take(j0, axis=1)
+        # the cells' ranks are in range, so "clip" never clips; it only
+        # keeps ``take`` from buffering ``out``, as "raise" does
+        diff = S.take(i0, axis=1, out=diff, mode="clip")
+        diff -= T.take(j0, axis=1, out=gathered, mode="clip")
     _pow_cost(diff, p)
     diff *= mass
-    return diff.sum(axis=1)
+    return diff.sum(axis=1, out=out)
 
 
 def potential_values(s: SortedProjection, t: SortedProjection,
@@ -196,30 +204,37 @@ def potential_values(s: SortedProjection, t: SortedProjection,
         return _finite(np.concatenate(([0.0], np.cumsum(steps))))
 
 
-def potential_values_batch(S: np.ndarray, T: np.ndarray,
-                           p: float = 2.0) -> np.ndarray:
+def potential_values_batch(S: np.ndarray, T: np.ndarray, p: float = 2.0,
+                           out: np.ndarray | None = None,
+                           upper: np.ndarray | None = None) -> np.ndarray:
     """Row-wise potentials for stacks of pre-sorted samples.
 
     ``S`` is (k, n) and ``T`` is (k, m), each row sorted. Returns the (k, n)
-    matrix of phi values at the sorted source points, row by row.
+    matrix of phi values at the sorted source points, row by row, written
+    into ``out`` if given; ``upper``, if given, is a C-ordered (k, n - 1)
+    scratch array. Neither changes a bit.
 
     The lower costs h(s_(i) - t_(r(i))) are written into the output, the
-    upper costs h(s_(i+1) - t_(r(i))) into one scratch array, and each step
+    upper costs h(s_(i+1) - t_(r(i))) into the scratch array, and each step
     is their difference, cumulated along the row. Every element takes the
     same operations whatever k is, so the direction pass may hand over its
     rows in blocks of any height; it keeps them cache-sized.
     """
     n, m = S.shape[1], T.shape[1]
-    out = np.empty(S.shape)
+    if out is None:
+        out = np.empty(S.shape)
     out[:, 0] = 0.0
     steps = out[:, 1:]
     # r(i) = i when m == n, so t_(r(i)) is a view and needs no gather.
     # ``take`` gathers in C order; a fancy index would give Fortran order,
-    # and the mixed-layout arithmetic below runs about twice as slow.
+    # and the mixed-layout arithmetic below runs about twice as slow. The
+    # step targets are in range, so "clip" never clips; it only keeps
+    # ``take`` from buffering ``out``.
     if m == n:
-        t_r, upper = T[:, :-1], None
+        t_r = T[:, :-1]
     else:
-        t_r = upper = T.take(_coupling(n, m).steps, axis=1)
+        t_r = upper = T.take(_coupling(n, m).steps, axis=1, out=upper,
+                             mode="clip")
     _pow_cost(np.subtract(S[:, :-1], t_r, out=steps), p)
     upper = _pow_cost(np.subtract(S[:, 1:], t_r, out=upper), p)
     np.subtract(upper, steps, out=steps)

@@ -8,13 +8,15 @@ stress ties and the keys: rounded data, duplicated rows, both signed
 zeros, subnormals, near neighbours and axis-aligned directions.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
 from potential_reference import row_assignment
 from swinfer import estimators, ot1d
-from swinfer.estimators import _BLOCK_BYTES, _CHUNK, _direction_pass
+from swinfer.estimators import _BLOCK_BYTES, _CHUNK, _PANEL_BYTES, _direction_pass
 from swinfer.geometry import DirectionSet, as_sample_matrix
 from swinfer.ot1d import (_coupling, potential_values_batch, sort_projection,
                           wasserstein_pp, wasserstein_pp_batch)
@@ -57,27 +59,42 @@ def reference_potentials(S, T, p):
                           axis=1)
 
 
+def chunk_panels(X, Y, dirs):
+    """The pass's projections, one list per chunk: each chunk's rows a
+    panel of ``_PANEL_BYTES // (8 (n + m))`` at a time, one GEMM per panel
+    and sample. A product of another height may round a row differently."""
+    height = max(1, _PANEL_BYTES // (8 * (X.n + Y.n)))
+    for lo in range(0, dirs.k, _CHUNK):
+        chunk = dirs.dirs[lo:lo + _CHUNK]
+        yield [(rows @ X.data.T, rows @ Y.data.T)
+               for rows in (chunk[top:top + height]
+                            for top in range(0, chunk.shape[0], height))]
+
+
 def reference_pass(X, Y, dirs, p):
     """The direction pass with a stable argsort and the reference kernels,
-    reduced over the same chunks in the same order."""
-    k = dirs.k
-    per_direction = np.empty(k)
+    projected in the same panels and reduced over the same chunks in the
+    same order."""
+    costs = []
     g_x = np.zeros(X.n)
     g_y = np.zeros(Y.n)
-    for lo in range(0, k, _CHUNK):
-        rows = dirs.dirs[lo:lo + _CHUNK]
-        px = rows @ X.data.T
-        py = rows @ Y.data.T
-        ox = np.argsort(px, axis=1, kind="stable")
-        oy = np.argsort(py, axis=1, kind="stable")
-        sx = np.take_along_axis(px, ox, axis=1)
-        sy = np.take_along_axis(py, oy, axis=1)
-        per_direction[lo:lo + rows.shape[0]] = reference_cost(sx, sy, p)
-        for g, s, t, order in ((g_x, sx, sy, ox), (g_y, sy, sx, oy)):
-            buf = np.empty_like(s)
-            np.put_along_axis(buf, order, reference_potentials(s, t, p), axis=1)
-            g += buf.sum(axis=0)
-    return per_direction, g_x / k, g_y / k
+    for panels in chunk_panels(X, Y, dirs):
+        scattered = ([], [])
+        for px, py in panels:
+            ox = np.argsort(px, axis=1, kind="stable")
+            oy = np.argsort(py, axis=1, kind="stable")
+            sx = np.take_along_axis(px, ox, axis=1)
+            sy = np.take_along_axis(py, oy, axis=1)
+            costs.append(reference_cost(sx, sy, p))
+            for bufs, s, t, order in ((scattered[0], sx, sy, ox),
+                                      (scattered[1], sy, sx, oy)):
+                buf = np.empty_like(s)
+                np.put_along_axis(buf, order, reference_potentials(s, t, p), axis=1)
+                bufs.append(buf)
+        # the chunk's rows summed in direction order, across its panels
+        g_x += np.concatenate(scattered[0]).sum(axis=0)
+        g_y += np.concatenate(scattered[1]).sum(axis=0)
+    return np.concatenate(costs), g_x / dirs.k, g_y / dirs.k
 
 
 def sorted_stack(rng, k, n, decimals):
@@ -187,9 +204,9 @@ def test_coupling_built_once_per_shape(monkeypatch):
     blocks = []
     cost_kernel = estimators.wasserstein_pp_batch
 
-    def count_blocks(S, T, p):
+    def count_blocks(S, T, p, **buffers):
         blocks.append(S.shape[0])
-        return cost_kernel(S, T, p)
+        return cost_kernel(S, T, p, **buffers)
 
     monkeypatch.setattr(estimators, "wasserstein_pp_batch", count_blocks)
     monkeypatch.setattr(estimators, "_BLOCK_BYTES", 8 * (37 + 23) * 3)
@@ -210,13 +227,11 @@ def test_pass_costs_equal_scalar_path(p, threads):
         n, m, d = rng.integers(2, 400), rng.integers(2, 400), rng.integers(1, 9)
         X, Y, dirs = random_pass_inputs(rng, n, m, d, _CHUNK + rng.integers(1, 100))
         est = _direction_pass(X, Y, dirs, p, False, threads)[0]
-        # the projections are the pass's own chunk products: a single
+        # the projections are the pass's own panel products: a single
         # direction's matrix-vector product may round differently
-        want = []
-        for lo in range(0, dirs.k, _CHUNK):
-            rows = dirs.dirs[lo:lo + _CHUNK]
-            want += [wasserstein_pp(sort_projection(px), sort_projection(py), p)
-                     for px, py in zip(rows @ X.data.T, rows @ Y.data.T)]
+        want = [wasserstein_pp(sort_projection(sx), sort_projection(sy), p)
+                for panels in chunk_panels(X, Y, dirs) for px, py in panels
+                for sx, sy in zip(px, py)]
         assert_same_bits(est.per_direction, np.array(want))
 
 
@@ -236,6 +251,42 @@ def test_pass_is_block_invariant(n, m, p, monkeypatch):
     for got in results[1:]:
         for a, b in zip(got, results[0]):
             assert_same_bits(a, b)
+
+
+# n + m = 5500 cuts 95-row panels: the first chunk is five full panels and
+# a ragged one, the second chunk a single panel shorter than the others
+MULTI_PANEL = (3000, 2500, 8, 600)
+
+
+@pytest.fixture(scope="module")
+def multi_panel_inputs():
+    n, m, _, k = MULTI_PANEL
+    assert _PANEL_BYTES // (8 * (n + m)) == 95 and k > _CHUNK
+    return random_pass_inputs(np.random.default_rng(29), *MULTI_PANEL)
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_multi_panel_pass_matches_reference(p, multi_panel_inputs):
+    assert_pass_matches_reference(*multi_panel_inputs, p)
+
+
+def test_multi_panel_pass_is_thread_and_block_invariant(multi_panel_inputs,
+                                                        monkeypatch):
+    """Threads 1 and 2, one direction per block, the default and one block
+    per panel give the same bits; the costs alone equal the costs of the
+    pass with potentials."""
+    X, Y, dirs = multi_panel_inputs
+    want = _direction_pass(X, Y, dirs, 2.0, True, 1)
+    for block_bytes in (8, _BLOCK_BYTES, 2 ** 30):
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
+        for threads in (1, 2):
+            est, g_x, g_y = _direction_pass(X, Y, dirs, 2.0, True, threads)
+            for got, w in zip((est.per_direction, g_x, g_y),
+                              (want[0].per_direction, *want[1:])):
+                assert_same_bits(got, w)
+            costs = estimators.sliced_estimate(X, Y, dirs, 2.0, threads)
+            assert_same_bits(costs.per_direction, want[0].per_direction)
+            assert costs.sw_pp == want[0].sw_pp
 
 
 @pytest.mark.parametrize("n,m,threads,p", at_exponents(
@@ -318,3 +369,30 @@ def test_overflowing_projection_raises(sign, potentials):
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="overflows float64.*rescale"):
             _direction_pass(X, Y, dirs, 2.0, potentials, 1)
+
+
+def traced_peak_mib(X, Y, dirs, threads):
+    """Peak of the memory that numpy and Python allocate during one pass
+    with potentials, beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        _direction_pass(X, Y, dirs, 2.0, True, threads)
+        return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_pass_memory_is_bounded_by_the_sample_sizes():
+    """A pass holds one projection panel and one block's working set per
+    worker: its peak does not grow with the direction count or with a
+    chunk's 512 rows, and each worker adds at most its own share."""
+    rng = np.random.default_rng(17)
+    X, Y, dirs = random_pass_inputs(rng, 20000, 15000, 8, 1024)
+    few = DirectionSet(dirs=dirs.dirs[:64], k=64, seed=0, stream_id=0)
+    small = traced_peak_mib(X, Y, few, 1)
+    full = traced_peak_mib(X, Y, dirs, 1)
+    pair = traced_peak_mib(X, Y, dirs, 2)
+    slack = 2.0
+    assert full <= small + slack, (small, full)
+    assert pair <= 2.0 * full + slack, (full, pair)
+    assert max(small, full, pair) < 32.0, (small, full, pair)
