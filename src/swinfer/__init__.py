@@ -33,8 +33,8 @@ __all__ = [
     "VarianceComponents", "analyze", "as_sample_matrix", "c_conjugate",
     "combined_variance", "confidence_interval", "duality_gap",
     "effective_rate", "gaussian_quantile_density", "gaussian_sw2_meanshift",
-    "j_alpha", "potential_values", "run_plan",
-    "sample_directions", "sample_gaussian", "sliced_estimate",
-    "sort_projection", "test_statistic", "two_sided_pvalue", "v_hat_sq",
-    "w_hat_sq", "wasserstein_pp",
+    "j_alpha", "potential_values", "run_plan", "sample_directions",
+    "sample_gaussian", "sliced_estimate", "sort_projection", "test_statistic",
+    "two_sided_pvalue", "uniform_quantile_density", "v_hat_sq", "w_hat_sq",
+    "wasserstein_pp",
 ]

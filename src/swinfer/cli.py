@@ -6,8 +6,9 @@ are JSON or CSV with floats spelled by ``repr``, so emitted numbers re-parse
 bit-exactly. Every flag has an environment fallback named SWINFER_<FLAG>; an
 explicit flag wins over the environment.
 
-Exit codes: 0 on success, 2 on any input problem, 3 when the variance
-estimate degenerates to zero and no statistic exists.
+Exit codes: 0 on success, 1 when a replication worker of ``simulate``
+dies, 2 on any input problem, 3 when the variance estimate degenerates to
+zero and no statistic exists.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ import dataclasses
 import json
 import os
 import sys
+from concurrent.futures import BrokenExecutor
 
 from . import inference
 from ._textio import (InputError, csv_text, dump_json, format_float,
                       read_matrix_csv, write_text)
 # _direction_pass only so perfbench's tracer can wrap it; the pass runs in inference
-from .estimators import _check_threads, _direction_pass  # noqa: F401
+from .estimators import _check_budget, _check_threads, _direction_pass  # noqa: F401
 from .geometry import SampleMatrix, sample_directions
 from .inference import (DegenerateVarianceError, _estimate_and_variance,
                         confidence_interval, effective_rate)
@@ -36,6 +38,7 @@ ENV_PREFIX = "SWINFER_"
 _DIRECTIONS_STREAM = 1
 
 _EXIT_OK = 0
+_EXIT_FAILED = 1
 _EXIT_INPUT = 2
 _EXIT_DEGENERATE = 3
 
@@ -90,39 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_samples(args, k, p, seed, level) -> tuple[SampleMatrix, SampleMatrix, dict]:
-    """Both samples and the report head that describes the inputs."""
-    x_path = _resolve(args.x, "X", str, required=True)
-    y_path = _resolve(args.y, "Y", str, required=True)
-    X = read_matrix_csv(x_path)
-    Y = read_matrix_csv(y_path)
-    if X.shape[0] < 2 or Y.shape[0] < 2:
-        raise InputError("each sample needs at least 2 rows")
-    if X.shape[1] != Y.shape[1]:
-        raise InputError(f"dimension mismatch: {x_path} has d={X.shape[1]}, "
-                         f"{y_path} has d={Y.shape[1]}")
-    head = {"x": x_path, "y": y_path, "n": X.shape[0], "m": Y.shape[0],
-            "d": X.shape[1], "k": k, "p": p, "seed": seed, "level": level}
-    return SampleMatrix(X), SampleMatrix(Y), head
-
-
-def _common_values(args):
-    p = _resolve(args.p, "P", float, default=2.0)
-    k = _resolve(args.k, "K", int, required=True)
-    level = _resolve(args.level, "LEVEL", float, default=0.95)
-    seed = _resolve(args.seed, "SEED", int, default=0)
-    threads = _resolve(args.threads, "THREADS", int, default=1)
-    fmt = _resolve(args.fmt, "FORMAT", str, default="json")
-    out = _resolve(args.out, "OUT", str, default=None)
-    if fmt not in ("csv", "json"):
-        raise InputError(f"format must be csv or json, got {fmt!r}")
-    if k < 2:
-        raise InputError(f"need at least 2 directions, got k={k}")
-    inference._critical_value(level)  # refuses a level outside (0, 1)
-    _check_threads(threads)
-    return _check_p(p), k, level, seed, threads, fmt, out
-
-
 def _emit_report(doc: dict, fmt: str, out: str | None) -> None:
     text = (dump_json(doc) + "\n" if fmt == "json"
             else csv_text(doc.keys(), [doc.values()]))
@@ -132,53 +102,53 @@ def _emit_report(doc: dict, fmt: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _report(command: str, head: dict, estimate: float, vc, interval,
-            rep=None) -> dict:
-    """The estimate report, or with an InferenceReport ``rep`` the test report.
-
-    The test report adds delta before the estimate and the statistic before
-    the interval.
-    """
-    doc = {"command": command, **head}
-    if rep is not None:
+def cmd_analyze(args) -> int:
+    """``estimate`` and ``test``: every flag is checked before a file is
+    read, then one direction pass gives one report. ``test`` adds delta
+    after the inputs and its decision before the interval."""
+    p = _resolve(args.p, "P", float, default=2.0)
+    k = _resolve(args.k, "K", int, required=True)
+    level = _resolve(args.level, "LEVEL", float, default=0.95)
+    seed = _resolve(args.seed, "SEED", int, default=0)
+    threads = _resolve(args.threads, "THREADS", int, default=1)
+    fmt = _resolve(args.fmt, "FORMAT", str, default="json")
+    out = _resolve(args.out, "OUT", str, default=None)
+    if fmt not in ("csv", "json"):
+        raise InputError(f"format must be csv or json, got {fmt!r}")
+    _check_budget(k)
+    inference._critical_value(level)  # refuses a level outside (0, 1)
+    _check_threads(threads)
+    p = _check_p(p)
+    test = args.command == "test"
+    delta = _resolve(args.delta, "DELTA", float, required=True) if test else None
+    x_path = _resolve(args.x, "X", str, required=True)
+    y_path = _resolve(args.y, "Y", str, required=True)
+    X, Y = read_matrix_csv(x_path), read_matrix_csv(y_path)
+    if X.shape[1] != Y.shape[1]:
+        raise InputError(f"dimension mismatch: {x_path} has d={X.shape[1]}, "
+                         f"{y_path} has d={Y.shape[1]}")
+    X, Y = SampleMatrix(X), SampleMatrix(Y)  # each refuses fewer than 2 rows
+    dirs = sample_directions(X.d, k, seed, _DIRECTIONS_STREAM)
+    doc = {"command": args.command, "x": x_path, "y": y_path, "n": X.n,
+           "m": Y.n, "d": X.d, "k": k, "p": p, "seed": seed, "level": level}
+    if test:
+        # called through the module, where perfbench's tracer wraps ``analyze``
+        rep = inference.analyze(X, Y, dirs, p=p, delta=delta, level=level,
+                                threads=threads)
+        estimate, vc, interval = rep.estimate, rep.variance, (rep.ci_low, rep.ci_high)
         doc["delta"] = rep.delta
-    doc.update({
-        "estimate": estimate,
-        "w_hat_sq": vc.w_hat_sq,
-        "v_hat_pq_sq": vc.v_hat_pq_sq,
-        "v_hat_qp_sq": vc.v_hat_qp_sq,
-        "tau_hat": vc.tau_hat,
-        "lambda_hat": vc.lambda_hat,
-        "combined_variance": vc.combined,
-        "effective_rate": effective_rate(head["n"], head["m"], head["k"]),
-    })
-    if rep is not None:
-        doc.update({"statistic": rep.statistic, "p_value": rep.p_value,
-                    "reject": rep.reject})
-    doc.update({"ci_low": interval[0], "ci_high": interval[1]})
-    return doc
-
-
-def cmd_estimate(args) -> int:
-    p, k, level, seed, threads, fmt, out = _common_values(args)
-    X, Y, head = _load_samples(args, k, p, seed, level)
-    dirs = sample_directions(X.d, k, seed, _DIRECTIONS_STREAM)
-    est, vc = _estimate_and_variance(X, Y, dirs, p, threads)
-    interval = confidence_interval(est.sw_pp, est.n, est.m, k, vc.combined, level)
-    _emit_report(_report("estimate", head, est.sw_pp, vc, interval), fmt, out)
-    return _EXIT_OK
-
-
-def cmd_test(args) -> int:
-    p, k, level, seed, threads, fmt, out = _common_values(args)
-    delta = _resolve(args.delta, "DELTA", float, required=True)
-    X, Y, head = _load_samples(args, k, p, seed, level)
-    dirs = sample_directions(X.d, k, seed, _DIRECTIONS_STREAM)
-    # called through the module, where perfbench's tracer wraps ``analyze``
-    rep = inference.analyze(X, Y, dirs, p=p, delta=delta, level=level,
-                            threads=threads)
-    _emit_report(_report("test", head, rep.estimate, rep.variance,
-                         (rep.ci_low, rep.ci_high), rep), fmt, out)
+        decision = {"statistic": rep.statistic, "p_value": rep.p_value,
+                    "reject": rep.reject}
+    else:
+        est, vc = _estimate_and_variance(X, Y, dirs, p, threads)
+        estimate, decision = est.sw_pp, {}
+        interval = confidence_interval(estimate, X.n, Y.n, k, vc.combined, level)
+    doc.update(estimate=estimate, w_hat_sq=vc.w_hat_sq, v_hat_pq_sq=vc.v_hat_pq_sq,
+               v_hat_qp_sq=vc.v_hat_qp_sq, tau_hat=vc.tau_hat,
+               lambda_hat=vc.lambda_hat, combined_variance=vc.combined,
+               effective_rate=effective_rate(X.n, Y.n, k), **decision,
+               ci_low=interval[0], ci_high=interval[1])
+    _emit_report(doc, fmt, out)
     return _EXIT_OK
 
 
@@ -222,11 +192,7 @@ def cmd_simulate(args) -> int:
     threads = _resolve(args.threads, "THREADS", int, default=1)
     out = _resolve(args.out, "OUT", str, default="simulation")
     _check_threads(threads)
-    plan = _load_plan(plan_path, seed)
-    try:
-        result = run_plan(plan, threads=threads)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    result = run_plan(_load_plan(plan_path, seed), threads=threads)
     csv_path, json_path = out + ".csv", out + ".json"
     write_text(csv_path, result_csv_text(result))
     write_text(json_path, result_json_text(result))
@@ -250,7 +216,7 @@ def main(argv=None) -> int:
                 continue
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = _build_parser().parse_args(argv)
-    handlers = {"estimate": cmd_estimate, "test": cmd_test,
+    handlers = {"estimate": cmd_analyze, "test": cmd_analyze,
                 "simulate": cmd_simulate}
     try:
         return handlers[args.command](args)
@@ -260,6 +226,9 @@ def main(argv=None) -> int:
     except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_INPUT
+    except BrokenExecutor as exc:  # a replication worker died
+        print(f"error: {exc}", file=sys.stderr)
+        return _EXIT_FAILED
 
 
 if __name__ == "__main__":

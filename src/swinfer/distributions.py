@@ -54,10 +54,9 @@ def sample_gaussian(spec: GaussianSpec, n: int, seed: int,
     """n i.i.d. draws mean + sigma * z, deterministic per (seed, stream_id).
 
     Row r of the output is independent of n, so prefixes agree across
-    different sample sizes under one stream.
+    different sample sizes under one stream. ``SampleMatrix`` refuses
+    n < 2.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 to form a valid sample matrix")
     z = gaussian_rows(seed, stream_id, n, spec.d)
     return SampleMatrix(spec.mean + math.sqrt(spec.sigma_sq) * z)
 

@@ -198,6 +198,13 @@ def _check_threads(threads: int) -> None:
         raise ValueError(f"threads must be positive, got {threads}")
 
 
+def _check_budget(k: int) -> None:
+    """Refuse a direction budget below 2: the spread of the per-direction
+    costs, ``w_hat_sq``, needs two of them."""
+    if k < 2:
+        raise ValueError(f"need at least 2 directions, got k={k}")
+
+
 def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float,
                     potentials: bool, threads: int):
     """One sweep over all directions, chunked for memory and parallelism.
@@ -287,8 +294,7 @@ def w_hat_sq(est: SlicedEstimate) -> float:
     costs are large and nearly equal, as mean of squares minus squared mean
     does. Requires k >= 2. Raises the pass's overflow error if it overflows.
     """
-    if est.k < 2:
-        raise ValueError("w_hat_sq needs at least 2 directions")
+    _check_budget(est.k)
     return _variance(est.per_direction)
 
 

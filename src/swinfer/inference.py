@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from scipy.special import ndtr, ndtri
 
-from .estimators import (VarianceComponents, _direction_pass, _variance,
-                         combined_variance, w_hat_sq)
+from .estimators import (VarianceComponents, _check_budget, _direction_pass,
+                         _variance, combined_variance, w_hat_sq)
 from .geometry import DirectionSet, SampleMatrix
 
 
@@ -97,8 +97,10 @@ def _estimate_and_variance(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
                            p: float, threads: int):
     """One direction pass to the estimate and the blended variance.
 
-    Returns (SlicedEstimate, VarianceComponents).
+    Returns (SlicedEstimate, VarianceComponents). A budget below 2
+    directions is refused before the pass.
     """
+    _check_budget(dirs.k)
     est, g_x, g_y = _direction_pass(X, Y, dirs, p, True, threads)
     return est, combined_variance(est.n, est.m, est.k, w_hat_sq(est),
                                   _variance(g_x), _variance(g_y))
@@ -114,7 +116,8 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
     X, Y : SampleMatrix
         The two samples.
     dirs : DirectionSet
-        Projection directions; k must be at least 2 for any variance work.
+        Projection directions; k must be at least 2, checked before any
+        projection.
     p : float
         Cost exponent, must exceed 1. The sampling variance comes from the
         transport potentials of the same cost |s - t|^p.

@@ -26,7 +26,7 @@ import numpy as np
 
 from ._textio import csv_text, dump_json
 from .distributions import GaussianSpec, sample_gaussian
-from .estimators import _check_threads
+from .estimators import _check_budget, _check_threads
 from .geometry import sample_directions
 from .inference import (DegenerateVarianceError, InferenceReport, _critical_value,
                         analyze)
@@ -63,6 +63,13 @@ def _plan_list(value, item) -> tuple:
     return tuple(item(entry) for entry in value)
 
 
+def _plan_budget(value) -> int:
+    """An integer direction budget, checked by ``_check_budget``."""
+    k = _plan_int(value)
+    _check_budget(k)
+    return k
+
+
 def _plan_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"must be true or false, got {value!r}")
@@ -91,7 +98,7 @@ class SimulationPlan:
     d: int = _plan_field(_plan_int)
     n: int = _plan_field(_plan_int)
     m: int = _plan_field(_plan_int)
-    k_values: tuple[int, ...] = _plan_field(partial(_plan_list, item=_plan_int))
+    k_values: tuple[int, ...] = _plan_field(partial(_plan_list, item=_plan_budget))
     h_values: tuple[float, ...] = _plan_field(partial(_plan_list, item=_plan_real))
     delta: float = _plan_field(_plan_real)
     replications: int = _plan_field(_plan_int)
@@ -109,8 +116,8 @@ class SimulationPlan:
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         _critical_value(self.level)  # refuses a level outside (0, 1)
-        if not self.k_values or any(k < 2 for k in self.k_values):
-            raise ValueError("every direction budget must be at least 2")
+        if not self.k_values:
+            raise ValueError("need at least one direction budget")
         if not self.h_values:
             raise ValueError("need at least one shift value")
         if self.d < 1 or self.n < 2 or self.m < 2:

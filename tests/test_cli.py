@@ -173,6 +173,22 @@ def test_input_problems_exit_2(data, tmp_path):
                    "--k", "8", "--level", "1.5")
     assert proc.returncode == 2
 
+    one = tmp_path / "one.csv"
+    one.write_text("1,2,3\n")
+    proc = run_cli("estimate", "--x", str(one), "--y", data["y"], "--k", "8")
+    assert proc.returncode == 2
+    assert "at least 2" in proc.stderr
+
+    proc = run_cli("estimate", "--x", data["x"], "--y", data["y"], "--k", "8",
+                   env_extra={"SWINFER_FORMAT": "xml"})
+    assert proc.returncode == 2
+    assert proc.stderr == "error: format must be csv or json, got 'xml'\n"
+
+    proc = run_cli("estimate", "--x", data["x"], "--y", data["y"], "--k", "8",
+                   "--p", "abc")
+    assert proc.returncode == 2
+    assert "--p: invalid float value: 'abc'" in proc.stderr
+
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
 def test_non_finite_delta_is_named(data, delta):
@@ -238,6 +254,18 @@ def test_bad_exponent_named_before_files_are_read(tmp_path):
         assert proc.returncode == 2
         assert "order p" in proc.stderr
         assert "cannot open" not in proc.stderr
+
+
+def test_budget_named_before_files_are_read(tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    for args in (("estimate", "--k", "1"), ("test", "--k", "1", "--delta", "0"),
+                 ("test", "--k", "0", "--delta", "0")):
+        proc = run_cli(args[0], "--x", missing, "--y", missing, *args[1:])
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: need at least 2 directions, got k={args[2]}\n"
+    proc = run_cli("estimate", "--x", missing, "--y", missing,
+                   env_extra={"SWINFER_K": "1"})
+    assert proc.stderr == "error: need at least 2 directions, got k=1\n"
 
 
 def test_bad_level_named_before_files_are_read(tmp_path):
@@ -477,7 +505,7 @@ def test_simulate_scalar_k_alias(tmp_path):
     ("h_values", "05"), ("h_values", 0.5), ("h_values", [True]),
     ("h_values", ["0.5"]), ("delta", True), ("delta", "1"), ("p", "2"),
     ("p", False), ("p", float("nan")), ("delta", float("inf")),
-    ("level", "0.95"), ("level", None)])
+    ("level", "0.95"), ("level", None), ("k_values", [4, 1])])
 def test_simulate_rejects_coerced_plan_fields(tmp_path, field, value):
     plan = write_plan(tmp_path / "plan.json", **{field: value})
     proc = run_cli("simulate", "--plan", str(plan),
@@ -528,3 +556,14 @@ def test_simulate_rejects_bad_plans(tmp_path):
     proc = run_cli("simulate", "--plan", str(notjson),
                    "--out", str(tmp_path / "z"))
     assert proc.returncode == 2
+
+    proc = run_cli("simulate", "--plan", str(tmp_path / "missing-plan.json"),
+                   "--out", str(tmp_path / "w"))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot open ")
+
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    proc = run_cli("simulate", "--plan", str(listed), "--out", str(tmp_path / "v"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {listed}: plan must be a JSON object\n"

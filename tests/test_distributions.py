@@ -8,7 +8,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.special import beta as beta_fn
 from scipy.special import ndtri
 
-from swinfer._rng import _doubles_from_raw
+from swinfer._rng import _doubles_from_raw, uniform_rows
 from swinfer.distributions import (GaussianSpec, JAlphaResult,
                                    gaussian_quantile_density,
                                    gaussian_sw2_meanshift, j_alpha,
@@ -48,6 +48,12 @@ def test_sampling_rows_are_prefix_stable():
 def test_sampling_needs_two_rows():
     with pytest.raises(ValueError):
         sample_gaussian(GaussianSpec(mean=np.zeros(2)), 1, seed=0)
+
+
+def test_uniform_rows_refuse_bad_shapes():
+    for rows, width in ((-1, 3), (2, 0)):
+        with pytest.raises(ValueError, match="rows >= 0 and width >= 1"):
+            uniform_rows(0, 0, rows, width)
 
 
 def test_uniforms_stay_below_one():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_array_equal
+from numpy.testing import assert_allclose, assert_array_equal
 
+from swinfer import _rng
 from swinfer.geometry import (DirectionSet, SampleMatrix, as_sample_matrix,
                               sample_directions)
 
@@ -11,6 +12,8 @@ def test_sample_matrix_validation():
         SampleMatrix(np.zeros((1, 3)))
     with pytest.raises(ValueError):
         SampleMatrix(np.zeros(5))
+    with pytest.raises(ValueError, match="at least 1 coordinate"):
+        SampleMatrix(np.zeros((3, 0)))
     with pytest.raises(ValueError):
         SampleMatrix(np.array([[0.0, np.nan], [1.0, 2.0]]))
     sm = as_sample_matrix([[1, 2], [3, 4], [5, 6]])
@@ -63,6 +66,27 @@ def test_prefix_stability_across_k():
     small = sample_directions(6, 20, seed=77, stream_id=2)
     large = sample_directions(6, 260, seed=77, stream_id=2)
     assert_array_equal(small.dirs, large.dirs[:20])
+
+
+def test_zero_norm_row_is_redrawn_from_its_salted_stream(monkeypatch):
+    """A Gaussian row of zeros has no direction: that row alone is drawn
+    again, from its own salted stream, and normalized."""
+    real = _rng.gaussian_rows
+
+    def gaussian_rows(seed, stream_id, rows, width, salt=()):
+        z = real(seed, stream_id, rows, width, salt)
+        if not salt:
+            z[2] = 0.0
+        return z
+
+    monkeypatch.setattr(_rng, "gaussian_rows", gaussian_rows)
+    got = sample_directions(4, 5, seed=3, stream_id=1).dirs
+    monkeypatch.undo()
+    plain = sample_directions(4, 5, seed=3, stream_id=1).dirs
+    redraw = real(3, 1, 1, 4, salt=(2, 1))[0]
+    assert_array_equal(got[2], redraw / np.sqrt(redraw @ redraw))
+    assert_array_equal(np.delete(got, 2, axis=0), np.delete(plain, 2, axis=0))
+    assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=1e-12)
 
 
 def test_invalid_sizes_rejected():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from swinfer import inference
 from swinfer.estimators import (SlicedEstimate, combined_variance, sliced_estimate,
                                 v_hat_sq, w_hat_sq)
 from swinfer.geometry import DirectionSet, as_sample_matrix, sample_directions
@@ -179,6 +180,21 @@ def test_analyze_refuses_a_worker_bound_below_one():
     dirs = sample_directions(2, 8, seed=1)
     with pytest.raises(ValueError, match="threads must be positive, got 0"):
         analyze(X, X, dirs, threads=0)
+
+
+def test_analyze_refuses_one_direction_before_any_projection(monkeypatch):
+    calls = []
+    real = inference._direction_pass
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(inference, "_direction_pass", spy)
+    X, Y = gaussian_pair(3)
+    with pytest.raises(ValueError, match="need at least 2 directions, got k=1"):
+        analyze(X, Y, sample_directions(3, 1, seed=0))
+    assert calls == []
 
 
 def test_analyze_blends_at_every_exponent():

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from swinfer.ot1d import SortedProjection, _coupling, sort_projection, wasserstein_pp
+from swinfer.ot1d import (SortedProjection, _coupling, c_conjugate, sort_projection,
+                          wasserstein_pp)
 
 
 def brute_cells(n, m):
@@ -57,6 +58,16 @@ def test_sort_projection_rejects_nan_and_inf():
         sort_projection(np.array([0.0, np.nan]))
     with pytest.raises(ValueError):
         sort_projection(np.array([0.0, np.inf]))
+
+
+def test_bad_shapes_are_refused():
+    with pytest.raises(ValueError, match="nonempty 1-d"):
+        sort_projection([])
+    with pytest.raises(ValueError, match="equal length"):
+        SortedProjection(values=np.zeros(3), perm=np.arange(2))
+    s = sort_projection(np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="t_points must be 1-d"):
+        c_conjugate(np.zeros(2), s, np.zeros((2, 2)))
 
 
 def test_coupling_cells_aligned():

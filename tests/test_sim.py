@@ -318,6 +318,31 @@ def test_pool_fails_when_a_worker_dies(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@forked_workers
+def test_simulate_exits_1_when_a_worker_dies(monkeypatch, tmp_path, capsys):
+    """A dead worker fails ``simulate`` with one error line and exit code 1,
+    not a traceback, and leaves no worker or file behind."""
+    real = sim._one_replication
+    here = os.getpid()
+
+    def one_replication(*args):
+        if os.getpid() != here:
+            os._exit(1)
+        return real(*args)
+
+    monkeypatch.setattr(sim, "_one_replication", one_replication)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps({"d": 2, "n": 25, "m": 20, "k": 4,
+                                "h_values": [0.0], "delta": 1.0,
+                                "replications": 3, "master_seed": 99}))
+    assert cli.main(["simulate", "--plan", str(path), "--out",
+                     str(tmp_path / "s"), "--threads", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_pool_never_outnumbers_the_replications(monkeypatch):
     """More workers asked for than there are replications: one worker per
     replication, and a single replication runs without a pool."""

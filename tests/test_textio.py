@@ -46,6 +46,8 @@ def test_dump_json_structure():
     assert parsed["d"] is None
     assert parsed["e"] == [1.0, "two", False]
     assert parsed["f"]["nested"] == [0.25, 0.75]
+    with pytest.raises(TypeError, match="cannot serialize set"):
+        dump_json({1})
 
 
 def test_dump_json_keeps_bool_and_int_apart():
