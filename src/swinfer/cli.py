@@ -43,24 +43,18 @@ _EXIT_INPUT = 2
 _EXIT_DEGENERATE = 3
 
 
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _resolve(flag_value, name: str, cast, default=None, required: bool = False):
-    """Flag value if given, else environment, else default."""
-    if flag_value is not None:
-        return flag_value
-    raw = _env(name)
-    if raw is not None:
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise InputError(f"bad {ENV_PREFIX}{name}={raw!r}: {exc}") from exc
-    if required:
-        raise InputError(f"missing --{name.lower().replace('_', '-')} "
-                         f"(or {ENV_PREFIX}{name})")
-    return default
+def _resolve(text, name: str, cast, default=None, required: bool = False):
+    """The flag's text, else SWINFER_<NAME>'s, cast by ``cast``; else the default."""
+    flag, env = "--" + name.lower(), ENV_PREFIX + name
+    source, raw = (env, os.environ.get(env)) if text is None else (flag, text)
+    if raw is None:
+        if required:
+            raise InputError(f"missing {flag} (or {env})")
+        return default
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise InputError(f"bad {source}={raw!r}: {exc}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -74,19 +68,19 @@ def _build_parser() -> argparse.ArgumentParser:
     for p in (ep, tp):
         p.add_argument("--x", help="CSV file with the first sample")
         p.add_argument("--y", help="CSV file with the second sample")
-        p.add_argument("--k", type=int, help="number of random directions")
-        p.add_argument("--p", type=float, help="cost exponent, must exceed 1")
-        p.add_argument("--level", type=float, help="confidence level (default 0.95)")
-        p.add_argument("--seed", type=int, help="seed for all randomness")
-        p.add_argument("--threads", type=int, help="worker bound (default 1)")
-        p.add_argument("--format", choices=("csv", "json"), dest="fmt",
+        p.add_argument("--k", help="number of random directions")
+        p.add_argument("--p", help="cost exponent, must exceed 1")
+        p.add_argument("--level", help="confidence level (default 0.95)")
+        p.add_argument("--seed", help="seed for all randomness")
+        p.add_argument("--threads", help="worker bound (default 1)")
+        p.add_argument("--format", metavar="{csv,json}", dest="fmt",
                        help="report format (default json)")
         p.add_argument("--out", help="output path (default: print to stdout)")
-    tp.add_argument("--delta", type=float, help="null value of the sliced cost")
+    tp.add_argument("--delta", help="null value of the sliced cost")
     sp = sub.add_parser("simulate", help="run a replication plan")
     sp.add_argument("--plan", help="JSON plan file")
-    sp.add_argument("--seed", type=int, help="replaces the plan's master_seed")
-    sp.add_argument("--threads", type=int,
+    sp.add_argument("--seed", help="replaces the plan's master_seed")
+    sp.add_argument("--threads",
                     help="worker processes for the replications (default 1)")
     sp.add_argument("--out", metavar="PREFIX",
                     help="write PREFIX.csv and PREFIX.json (default simulation)")
@@ -120,7 +114,9 @@ def cmd_analyze(args) -> int:
     _check_threads(threads)
     p = _check_p(p)
     test = args.command == "test"
-    delta = _resolve(args.delta, "DELTA", float, required=True) if test else None
+    if test:
+        delta = _resolve(args.delta, "DELTA", float, required=True)
+        inference._check_delta(delta)
     x_path = _resolve(args.x, "X", str, required=True)
     y_path = _resolve(args.y, "Y", str, required=True)
     X, Y = read_matrix_csv(x_path), read_matrix_csv(y_path)

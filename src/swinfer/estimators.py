@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import DirectionSet, SampleMatrix
-from .ot1d import (_coupling, _finite, _quiet, potential_values_batch,
+from .ot1d import (_check_p, _coupling, _finite, _quiet, potential_values_batch,
                    wasserstein_pp_batch)
 
 _CHUNK = 512
@@ -117,8 +117,8 @@ def _sorted_order(block: np.ndarray, side: _Side, arena: np.ndarray):
 
 
 def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float,
-                potentials: bool):
-    """Costs and potential sums of one chunk: (costs, gx_sum, gy_sum).
+                potentials: bool, costs: np.ndarray):
+    """One chunk's costs, into ``costs``, and potential sums: (gx_sum, gy_sum).
 
     The chunk is projected a panel of ``_PANEL_BYTES // (8 (n + m))``
     directions at a time (at least one, at most the chunk), starting at its
@@ -161,7 +161,6 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     # the largest stage: the cost cells, or one sample's potentials and step
     # scratch (which also cover the gather's flat indices)
     arena = np.empty(rows * max(layers * cells, 2 * max(n, m) - 1))
-    costs = np.empty(k)
     if potentials:
         side_x, side_y = _Side(rows, n), _Side(rows, m)
         gx_sum, gy_sum = np.zeros(n), np.zeros(m)
@@ -189,7 +188,7 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
                 upper = _carve(arena, (r, s.shape[1] - 1), phi.size)
                 potential_values_batch(s, t, p, out=phi, upper=upper)
                 np.add.at(sums, order.ravel(), phi.ravel())
-    return costs, gx_sum, gy_sum
+    return gx_sum, gy_sum
 
 
 def _check_threads(threads: int) -> None:
@@ -212,9 +211,10 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     Returns (SlicedEstimate, g_x, g_y). The per-direction costs are always
     computed. With ``potentials``, g_x and g_y are the direction-averaged
     potentials for the same cost |s - t|^p at X's and Y's rows in input
-    order; without it they are None. A cost, a potential or their mean that
-    overflows (finite costs can have potentials that do) raises ValueError,
-    with numpy's warnings silenced.
+    order; without it they are None. The worker bound, p and the dimensions
+    are checked before any projection. A cost, a potential or their mean
+    that overflows (finite costs can have potentials that do) raises
+    ValueError, with numpy's warnings silenced.
 
     In a chunk, ``np.add.at`` adds each potential to its input-order slot,
     from +0.0 and in direction order, block after block and panel after
@@ -229,24 +229,25 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     not with k.
     """
     _check_threads(threads)
+    p = _check_p(p)
     if X.d != Y.d or X.d != dirs.d:
         raise ValueError(
             f"dimension mismatch: X d={X.d}, Y d={Y.d}, dirs d={dirs.d}")
     k = dirs.k
     starts = range(0, k, _CHUNK)
+    per_direction = np.empty(k)
 
     def work(lo):
         with _quiet():
-            return _pass_chunk(X, Y, dirs.dirs[lo:lo + _CHUNK], p, potentials)
+            return _pass_chunk(X, Y, dirs.dirs[lo:lo + _CHUNK], p, potentials,
+                               per_direction[lo:lo + _CHUNK])
 
-    per_direction = np.empty(k)
     g_x = np.zeros(X.n) if potentials else None
     g_y = np.zeros(Y.n) if potentials else None
     with ThreadPoolExecutor(max_workers=threads) as pool, _quiet():
         parts = (pool.map(work, starts) if threads > 1 and len(starts) > 1
                  else map(work, starts))
-        for lo, (costs, gx_sum, gy_sum) in zip(starts, parts):
-            per_direction[lo:lo + _CHUNK] = costs
+        for gx_sum, gy_sum in parts:
             if potentials:
                 g_x += gx_sum
                 g_y += gy_sum
@@ -257,7 +258,7 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     for values in (sw_pp, per_direction, g_x, g_y):
         if values is not None:
             _finite(values)
-    est = SlicedEstimate(sw_pp=sw_pp, per_direction=per_direction, p=float(p),
+    est = SlicedEstimate(sw_pp=sw_pp, per_direction=per_direction, p=p,
                          n=X.n, m=Y.n, k=k)
     return est, g_x, g_y
 

@@ -47,6 +47,11 @@ def effective_rate(n: int, m: int, k: int) -> float:
     return math.sqrt(k * r / (k + r))
 
 
+def _check_delta(delta: float) -> None:
+    if not math.isfinite(delta):
+        raise ValueError(f"null value delta must be finite, got {delta}")
+
+
 def test_statistic(estimate: float, delta: float, n: int, m: int, k: int,
                    combined_variance: float) -> float:
     """Studentized statistic for the null value delta.
@@ -54,8 +59,7 @@ def test_statistic(estimate: float, delta: float, n: int, m: int, k: int,
     Raises DegenerateVarianceError when the variance estimate is zero, since
     the statistic is undefined there, and ValueError on a non-finite delta.
     """
-    if not math.isfinite(delta):
-        raise ValueError(f"null value delta must be finite, got {delta}")
+    _check_delta(delta)
     if combined_variance < 0.0:
         raise ValueError("combined variance must be nonnegative")
     if combined_variance == 0.0:
@@ -116,15 +120,15 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
     X, Y : SampleMatrix
         The two samples.
     dirs : DirectionSet
-        Projection directions; k must be at least 2, checked before any
-        projection.
+        Projection directions; k must be at least 2.
     p : float
         Cost exponent, must exceed 1. The sampling variance comes from the
         transport potentials of the same cost |s - t|^p.
     delta : float
-        Null value of the sliced cost being tested.
+        Null value of the sliced cost being tested, finite.
     level : float
-        Confidence level for the interval.
+        Confidence level for the interval, in (0, 1). Every argument is
+        checked before any projection.
     threads : int
         Worker bound, at least 1; results are identical for every value.
 
@@ -138,6 +142,8 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
     DegenerateVarianceError
         When the combined variance estimate is exactly zero.
     """
+    _check_delta(delta)
+    z = _critical_value(level)
     est, vc = _estimate_and_variance(X, Y, dirs, p, threads)
     n, m, k = est.n, est.m, est.k
     statistic = test_statistic(est.sw_pp, delta, n, m, k, vc.combined)
@@ -146,7 +152,7 @@ def analyze(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float = 2.0
                            delta=float(delta),
                            statistic=statistic,
                            p_value=two_sided_pvalue(statistic),
-                           reject=bool(abs(statistic) > _critical_value(level)),
+                           reject=bool(abs(statistic) > z),
                            ci_low=low,
                            ci_high=high,
                            level=float(level),

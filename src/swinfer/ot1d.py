@@ -162,11 +162,12 @@ def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float,
                          cells: np.ndarray | None = None) -> np.ndarray:
     """Row-wise W_p^p for stacks of pre-sorted samples.
 
-    ``S`` has shape (k, n) and ``T`` shape (k, m), each row sorted; the
-    result is the length-k vector of per-row costs, written into ``out``
-    if given. ``cells``, if given, is a C-ordered (2, k, c) array, c the
-    number of coupling cells, whose layers stand in for the two gathers'
-    fresh arrays; (1, k, c) will do when n == m. Neither changes a bit.
+    ``S`` has shape (k, n) and ``T`` shape (k, m), each row sorted, and
+    ``p`` is a float that ``_check_p`` passed; the result is the length-k
+    vector of per-row costs, written into ``out`` if given. ``cells``, if
+    given, is a C-ordered (2, k, c) array, c the number of coupling cells,
+    whose layers stand in for the two gathers' fresh arrays; (1, k, c) will
+    do when n == m. Neither changes a bit.
 
     The cell costs are built C-ordered (``take``; a fancy index would give
     Fortran order), so ``sum(axis=1)`` reduces each contiguous row alone,
@@ -174,7 +175,6 @@ def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float,
     cost equals the scalar path's bit for bit, whatever k is. A matrix
     product with ``mass`` would pick its summation by the number of rows.
     """
-    p = _check_p(p)
     i0, j0, mass, _ = _coupling(S.shape[1], T.shape[1])
     diff, gathered = (None, None) if cells is None else (cells[0], cells[-1])
     if S.shape[1] == T.shape[1]:
@@ -204,15 +204,16 @@ def potential_values(s: SortedProjection, t: SortedProjection,
         return _finite(np.concatenate(([0.0], np.cumsum(steps))))
 
 
-def potential_values_batch(S: np.ndarray, T: np.ndarray, p: float = 2.0,
+def potential_values_batch(S: np.ndarray, T: np.ndarray, p: float,
                            out: np.ndarray | None = None,
                            upper: np.ndarray | None = None) -> np.ndarray:
     """Row-wise potentials for stacks of pre-sorted samples.
 
-    ``S`` is (k, n) and ``T`` is (k, m), each row sorted. Returns the (k, n)
-    matrix of phi values at the sorted source points, row by row, written
-    into ``out`` if given; ``upper``, if given, is a C-ordered (k, n - 1)
-    scratch array. Neither changes a bit.
+    ``S`` is (k, n) and ``T`` is (k, m), each row sorted, and ``p`` is as
+    for ``wasserstein_pp_batch``. Returns the (k, n) matrix of phi values
+    at the sorted source points, row by row, written into ``out`` if
+    given; ``upper``, if given, is a C-ordered (k, n - 1) scratch array.
+    Neither changes a bit.
 
     The lower costs h(s_(i) - t_(r(i))) are written into the output, the
     upper costs h(s_(i+1) - t_(r(i))) into the scratch array, and each step

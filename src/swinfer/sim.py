@@ -39,13 +39,14 @@ _ROLE_X, _ROLE_Y, _ROLE_DIRS, _ROLE_CELL_DIRS = 0, 1, 2, 3
 _HIST_BINS = 40
 
 
-def _plan_int(value) -> int:
-    """An integer; a fraction, a boolean or a string is refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    raise ValueError(f"must be an integer, got {value!r}")
+def _plan_int(value, least=None) -> int:
+    """An integer, at least ``least`` if given; not a fraction, bool or string."""
+    if not (isinstance(value, float) and value.is_integer()
+            or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        raise ValueError(f"must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"must be at least {least}, got {value!r}")
+    return int(value)
 
 
 def _plan_real(value) -> float:
@@ -57,9 +58,9 @@ def _plan_real(value) -> float:
 
 
 def _plan_list(value, item) -> tuple:
-    """A list or a tuple, each entry checked by ``item``."""
-    if not isinstance(value, (list, tuple)):
-        raise ValueError(f"must be a list, got {value!r}")
+    """A non-empty list or tuple, each entry checked by ``item``."""
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError(f"must be a non-empty list, got {value!r}")
     return tuple(item(entry) for entry in value)
 
 
@@ -74,6 +75,11 @@ def _plan_bool(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"must be true or false, got {value!r}")
     return value
+
+
+def _plan_level(value) -> float:
+    _critical_value(level := _plan_real(value))  # refuses a level outside (0, 1)
+    return level
 
 
 def _plan_p(value) -> float:
@@ -95,14 +101,14 @@ class SimulationPlan:
     """
 
     p: float = _plan_field(_plan_p, default=2.0)
-    d: int = _plan_field(_plan_int)
-    n: int = _plan_field(_plan_int)
-    m: int = _plan_field(_plan_int)
+    d: int = _plan_field(partial(_plan_int, least=1))
+    n: int = _plan_field(partial(_plan_int, least=2))
+    m: int = _plan_field(partial(_plan_int, least=2))
     k_values: tuple[int, ...] = _plan_field(partial(_plan_list, item=_plan_budget))
     h_values: tuple[float, ...] = _plan_field(partial(_plan_list, item=_plan_real))
     delta: float = _plan_field(_plan_real)
-    replications: int = _plan_field(_plan_int)
-    level: float = _plan_field(_plan_real, default=0.95)
+    replications: int = _plan_field(partial(_plan_int, least=1))
+    level: float = _plan_field(_plan_level, default=0.95)
     master_seed: int = _plan_field(_plan_int)
     reuse_directions: bool = _plan_field(_plan_bool, default=False)
 
@@ -113,15 +119,6 @@ class SimulationPlan:
             except ValueError as exc:
                 raise ValueError(f"plan field {spec.name!r}: {exc}") from None
             object.__setattr__(self, spec.name, value)
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
-        _critical_value(self.level)  # refuses a level outside (0, 1)
-        if not self.k_values:
-            raise ValueError("need at least one direction budget")
-        if not self.h_values:
-            raise ValueError("need at least one shift value")
-        if self.d < 1 or self.n < 2 or self.m < 2:
-            raise ValueError("need d >= 1 and n, m >= 2")
 
     @property
     def cells(self) -> list[tuple[int, float]]:
@@ -183,8 +180,9 @@ def _one_replication(plan: SimulationPlan, cell_index: int, rep_index: int,
 
 def _replicate(plan: SimulationPlan, task: tuple[int, int, int, float]
                ) -> InferenceReport | None:
-    """``_one_replication`` on one task tuple; module-level, so that a
-    worker process can receive it."""
+    """``_one_replication`` on one task tuple. A worker receives this function
+    by name and looks ``_one_replication`` up here, so that a wrapper of it
+    (the tracer's or a test's), which cannot be pickled, still runs there."""
     return _one_replication(plan, *task)
 
 

@@ -187,7 +187,7 @@ def test_input_problems_exit_2(data, tmp_path):
     proc = run_cli("estimate", "--x", data["x"], "--y", data["y"], "--k", "8",
                    "--p", "abc")
     assert proc.returncode == 2
-    assert "--p: invalid float value: 'abc'" in proc.stderr
+    assert proc.stderr == "error: bad --p='abc': could not convert string to float: 'abc'\n"
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "-inf"])
@@ -276,6 +276,39 @@ def test_bad_level_named_before_files_are_read(tmp_path):
         assert proc.returncode == 2
         assert "level must lie in (0, 1)" in proc.stderr
         assert "cannot open" not in proc.stderr
+
+
+@pytest.mark.parametrize("args,name", [
+    (("estimate", "--k", "8", "--p", "abc"), "--p"),
+    (("estimate", "--k", "1.5"), "--k"),
+    (("estimate", "--k", "8", "--threads", "x"), "--threads"),
+    (("estimate", "--k", "8", "--format", "xml"), "format"),
+    (("simulate", "--seed", "x"), "--seed"),
+    (("simulate", "--threads", "x"), "--threads")],
+    ids=["p", "k", "threads", "format", "simulate-seed", "simulate-threads"])
+def test_flag_value_of_the_wrong_type_is_one_line(tmp_path, args, name):
+    """A flag value that its type refuses gets one ``error:`` line naming the
+    flag, as a bad SWINFER_ value does, and no usage block."""
+    missing = str(tmp_path / "missing.csv")
+    files = (("--plan", missing) if args[0] == "simulate"
+             else ("--x", missing, "--y", missing))
+    proc = run_cli(args[0], *files, *args[1:])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert name in proc.stderr
+    assert "cannot open" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag,env", [(("--delta", "nan"), {}),
+                                      ((), {"SWINFER_DELTA": "inf"})],
+                         ids=["flag", "env"])
+def test_bad_delta_named_before_files_are_read(tmp_path, flag, env):
+    missing = str(tmp_path / "missing.csv")
+    proc = run_cli("test", "--x", missing, "--y", missing, "--k", "8", *flag,
+                   env_extra=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: null value delta must be finite")
+    assert "cannot open" not in proc.stderr
 
 
 def test_negative_float_values_reach_their_flag(data, tmp_path):

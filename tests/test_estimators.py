@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from potential_reference import potential_rows
 
+from swinfer import estimators
 from swinfer.estimators import (SlicedEstimate, combined_variance,
                                 sliced_estimate, v_hat_sq, w_hat_sq)
 from swinfer.geometry import as_sample_matrix, sample_directions
@@ -237,3 +238,19 @@ def test_combined_variance_rejects_negative_inputs():
         combined_variance(10, 10, 10, -0.1, 1.0, 1.0)
     with pytest.raises(ValueError):
         combined_variance(0, 10, 10, 0.1, 1.0, 1.0)
+
+
+def test_bad_exponent_refused_before_any_chunk(monkeypatch):
+    chunks, real = [], estimators._pass_chunk
+
+    def spy(*args):
+        chunks.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(estimators, "_pass_chunk", spy)
+    X, Y = make_pair(2)
+    dirs = sample_directions(4, 8, seed=3)
+    for kernel in (sliced_estimate, v_hat_sq):
+        with pytest.raises(ValueError, match="order p"):
+            kernel(X, Y, dirs, p=1.0)
+    assert chunks == []

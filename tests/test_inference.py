@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from swinfer import inference
+from swinfer import estimators, inference
 from swinfer.estimators import (SlicedEstimate, combined_variance, sliced_estimate,
                                 v_hat_sq, w_hat_sq)
 from swinfer.geometry import DirectionSet, as_sample_matrix, sample_directions
@@ -194,7 +194,23 @@ def test_analyze_refuses_one_direction_before_any_projection(monkeypatch):
     X, Y = gaussian_pair(3)
     with pytest.raises(ValueError, match="need at least 2 directions, got k=1"):
         analyze(X, Y, sample_directions(3, 1, seed=0))
+    dirs = sample_directions(3, 8, seed=0)
+    with pytest.raises(ValueError, match="level must lie in"):
+        analyze(X, Y, dirs, level=1.5)
+    with pytest.raises(ValueError, match="delta must be finite"):
+        analyze(X, Y, dirs, delta=math.nan)
     assert calls == []
+    # a bad p is refused at the pass's entry, before any chunk is projected
+    chunks, real_chunk = [], estimators._pass_chunk
+
+    def chunk_spy(*args):
+        chunks.append(args)
+        return real_chunk(*args)
+
+    monkeypatch.setattr(estimators, "_pass_chunk", chunk_spy)
+    with pytest.raises(ValueError, match="order p"):
+        analyze(X, Y, dirs, p=1.0)
+    assert chunks == []
 
 
 def test_analyze_blends_at_every_exponent():

@@ -24,19 +24,19 @@ def tiny_plan(**overrides):
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan field 'replications'"):
         tiny_plan(replications=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan field 'level'"):
         tiny_plan(level=1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan field 'k_values'"):
         tiny_plan(k_values=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan field 'k_values'"):
         tiny_plan(k_values=(1,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan field 'h_values'"):
         tiny_plan(h_values=())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan field 'n': must be at least 2, got 1"):
         tiny_plan(n=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="plan field 'd'"):
         tiny_plan(d=0)
     for p in (1.0, 0.5, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="order p"):
