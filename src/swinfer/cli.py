@@ -57,8 +57,17 @@ def _resolve(text, name: str, cast, default=None, required: bool = False):
         raise InputError(f"bad {source}={raw!r}: {exc}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's own errors (a flag without its value, an unknown flag, a
+    missing or unknown subcommand) as InputError, which ``main`` prints on
+    one line; the subparsers are built from this class too."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swinfer",
         description="Sliced transport-cost estimation and two-sample inference.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -211,10 +220,10 @@ def main(argv=None) -> int:
             except ValueError:
                 continue
             argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
-    args = _build_parser().parse_args(argv)
     handlers = {"estimate": cmd_analyze, "test": cmd_analyze,
                 "simulate": cmd_simulate}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except DegenerateVarianceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,9 +12,9 @@ Three variance estimators feed the studentization:
 * ``combined_variance``, a convex blend of the two weighted by how the
   direction budget k compares with the harmonic sample size nm/(n+m).
 
-One chunked sweep, ``_direction_pass``, yields the per-direction costs and,
-on request, the direction-averaged potentials; ``sliced_estimate``,
-``v_hat_sq`` and the inference pipeline all read from it.
+One chunked sweep, ``_direction_pass``, yields the per-direction costs and
+the direction-averaged potentials; ``sliced_estimate``, ``v_hat_sq`` and the
+inference pipeline all read from it.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def _sorted_order(block: np.ndarray, side: _Side, arena: np.ndarray):
 
 
 def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float,
-                potentials: bool, costs: np.ndarray):
+                costs: np.ndarray):
     """One chunk's costs, into ``costs``, and potential sums: (gx_sum, gy_sum).
 
     The chunk is projected a panel of ``_PANEL_BYTES // (8 (n + m))``
@@ -132,15 +132,12 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     rows and sortedness flags (``_Side``), and one arena that the block's
     stages take in turn, for the gathers' flat indices, the cost cells and
     each sample's potentials and step scratch. A worker holds one panel
-    and one block's buffers, whatever k. Costs depend on the sorted values
-    alone; without ``potentials`` each block is sorted in place and the
-    sums are None.
+    and one block's buffers, whatever k.
 
-    Otherwise ``_sorted_order`` gets each row's permutation from a value
-    sort, several times faster than an argsort. With b = max(1, bit
-    length of n - 1), a key is the value with its low b bits replaced by
-    its column index; clearing them truncates toward zero, which is
-    monotone. A row's keys are distinct, so they sort as floats in one
+    ``_sorted_order`` gets each row's permutation from a value sort,
+    several times faster than an argsort. With b = max(1, bit length of
+    n - 1), a key is the value with its low b bits replaced by its column
+    index; clearing them truncates toward zero, which is monotone. A row's keys are distinct, so they sort as floats in one
     order whatever the algorithm, and their low bits are the permutation.
     Only distinct values in one bucket of 2^b ulp can come out of order
     (by index, reversed below zero), seen as gathered rows out of order;
@@ -161,11 +158,8 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     # the largest stage: the cost cells, or one sample's potentials and step
     # scratch (which also cover the gather's flat indices)
     arena = np.empty(rows * max(layers * cells, 2 * max(n, m) - 1))
-    if potentials:
-        side_x, side_y = _Side(rows, n), _Side(rows, m)
-        gx_sum, gy_sum = np.zeros(n), np.zeros(m)
-    else:
-        gx_sum = gy_sum = None
+    side_x, side_y = _Side(rows, n), _Side(rows, m)
+    gx_sum, gy_sum = np.zeros(n), np.zeros(m)
     for top in range(0, k, height):
         panel = dir_rows[top:top + height]
         px = np.matmul(panel, X.data.T, out=panel_x[:len(panel)])
@@ -173,16 +167,10 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
         for lo in range(0, len(panel), rows):
             bx, by = px[lo:lo + rows], py[lo:lo + rows]
             r = len(bx)
-            block_costs = costs[top + lo:top + lo + r]
-            block_cells = _carve(arena, (layers, r, cells))
-            if not potentials:
-                bx.sort(axis=1)
-                by.sort(axis=1)
-                wasserstein_pp_batch(bx, by, p, out=block_costs, cells=block_cells)
-                continue
             sx, ox = _sorted_order(bx, side_x, arena)
             sy, oy = _sorted_order(by, side_y, arena)
-            wasserstein_pp_batch(sx, sy, p, out=block_costs, cells=block_cells)
+            wasserstein_pp_batch(sx, sy, p, out=costs[top + lo:top + lo + r],
+                                 cells=_carve(arena, (layers, r, cells)))
             for sums, s, t, order in ((gx_sum, sx, sy, ox), (gy_sum, sy, sx, oy)):
                 phi = _carve(arena, s.shape)
                 upper = _carve(arena, (r, s.shape[1] - 1), phi.size)
@@ -205,13 +193,12 @@ def _check_budget(k: int) -> None:
 
 
 def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: float,
-                    potentials: bool, threads: int):
+                    threads: int):
     """One sweep over all directions, chunked for memory and parallelism.
 
-    Returns (SlicedEstimate, g_x, g_y). The per-direction costs are always
-    computed. With ``potentials``, g_x and g_y are the direction-averaged
-    potentials for the same cost |s - t|^p at X's and Y's rows in input
-    order; without it they are None. The worker bound, p and the dimensions
+    Returns (SlicedEstimate, g_x, g_y): the per-direction costs, and the
+    direction-averaged potentials for the same cost |s - t|^p at X's and
+    Y's rows in input order. The worker bound, p and the dimensions
     are checked before any projection. A cost, a potential or their mean
     that overflows (finite costs can have potentials that do) raises
     ValueError, with numpy's warnings silenced.
@@ -239,25 +226,21 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
 
     def work(lo):
         with _quiet():
-            return _pass_chunk(X, Y, dirs.dirs[lo:lo + _CHUNK], p, potentials,
+            return _pass_chunk(X, Y, dirs.dirs[lo:lo + _CHUNK], p,
                                per_direction[lo:lo + _CHUNK])
 
-    g_x = np.zeros(X.n) if potentials else None
-    g_y = np.zeros(Y.n) if potentials else None
+    g_x, g_y = np.zeros(X.n), np.zeros(Y.n)
     with ThreadPoolExecutor(max_workers=threads) as pool, _quiet():
         parts = (pool.map(work, starts) if threads > 1 and len(starts) > 1
                  else map(work, starts))
         for gx_sum, gy_sum in parts:
-            if potentials:
-                g_x += gx_sum
-                g_y += gy_sum
+            g_x += gx_sum
+            g_y += gy_sum
         sw_pp = float(np.mean(per_direction))
-        if potentials:
-            g_x /= k
-            g_y /= k
+        g_x /= k
+        g_y /= k
     for values in (sw_pp, per_direction, g_x, g_y):
-        if values is not None:
-            _finite(values)
+        _finite(values)
     est = SlicedEstimate(sw_pp=sw_pp, per_direction=per_direction, p=p,
                          n=X.n, m=Y.n, k=k)
     return est, g_x, g_y
@@ -283,8 +266,12 @@ def sliced_estimate(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     -------
     SlicedEstimate
         ``sw_pp`` is the arithmetic mean of the per-direction costs.
+
+    The pass computes the potentials too, and an overflow in them raises
+    the overflow ValueError; ``inference.analyze`` gets every number from
+    one pass.
     """
-    return _direction_pass(X, Y, dirs, p, False, threads)[0]
+    return _direction_pass(X, Y, dirs, p, threads)[0]
 
 
 def w_hat_sq(est: SlicedEstimate) -> float:
@@ -309,7 +296,7 @@ def v_hat_sq(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     covariances, at O(k n) cost instead of O(k^2 n). Swap the arguments to
     estimate the companion quantity for Y.
     """
-    _, g_x, _ = _direction_pass(X, Y, dirs, p, True, threads)
+    _, g_x, _ = _direction_pass(X, Y, dirs, p, threads)
     return _variance(g_x)
 
 

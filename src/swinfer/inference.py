@@ -105,7 +105,7 @@ def _estimate_and_variance(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
     directions is refused before the pass.
     """
     _check_budget(dirs.k)
-    est, g_x, g_y = _direction_pass(X, Y, dirs, p, True, threads)
+    est, g_x, g_y = _direction_pass(X, Y, dirs, p, threads)
     return est, combined_variance(est.n, est.m, est.k, w_hat_sq(est),
                                   _variance(g_x), _variance(g_y))
 

@@ -299,6 +299,25 @@ def test_flag_value_of_the_wrong_type_is_one_line(tmp_path, args, name):
     assert "cannot open" not in proc.stderr
 
 
+@pytest.mark.parametrize("args,message", [
+    (("estimate", "--x", "a.csv", "--y", "b.csv", "--k", "8", "--format"),
+     "argument --format: expected one argument"),
+    (("estimate", "--x", "a.csv", "--y", "b.csv", "--k", "8", "--bogus", "1"),
+     "unrecognized arguments: --bogus 1"),
+    (("simulate", "--plan", "plan.json", "--bogus"), "unrecognized arguments: --bogus"),
+    ((), "the following arguments are required: command"),
+    (("frob",), "argument command: invalid choice: 'frob'")],
+    ids=["missing-value", "unknown-flag", "simulate-unknown-flag",
+         "missing-command", "unknown-command"])
+def test_argparse_errors_are_one_line(args, message):
+    """argparse's own errors print one ``error:`` line and no usage block."""
+    proc = run_cli(*args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: " + message)
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("flag,env", [(("--delta", "nan"), {}),
                                       ((), {"SWINFER_DELTA": "inf"})],
                          ids=["flag", "env"])

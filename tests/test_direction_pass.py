@@ -15,7 +15,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from potential_reference import row_assignment
-from swinfer import estimators, ot1d
+from swinfer import estimators, inference, ot1d
 from swinfer.estimators import _BLOCK_BYTES, _CHUNK, _PANEL_BYTES, _direction_pass
 from swinfer.geometry import DirectionSet, as_sample_matrix
 from swinfer.ot1d import (_coupling, potential_values_batch, sort_projection,
@@ -164,7 +164,7 @@ def random_pass_inputs(rng, n, m, d, k):
 
 def assert_pass_matches_reference(X, Y, dirs, p):
     want = reference_pass(X, Y, dirs, p)
-    est, g_x, g_y = _direction_pass(X, Y, dirs, p, True, 1)
+    est, g_x, g_y = _direction_pass(X, Y, dirs, p, 1)
     for got, w in zip((est.per_direction, g_x, g_y), want):
         assert_same_bits(got, w)
 
@@ -212,7 +212,7 @@ def test_coupling_built_once_per_shape(monkeypatch):
     monkeypatch.setattr(estimators, "_BLOCK_BYTES", 8 * (37 + 23) * 3)
     ot1d._coupling.cache_clear()
     X, Y, dirs = random_pass_inputs(np.random.default_rng(5), 37, 23, 3, 40)
-    _direction_pass(X, Y, dirs, 3.0, True, 1)
+    _direction_pass(X, Y, dirs, 3.0, 1)
     assert blocks == [3] * 13 + [1]
     assert ot1d._coupling.cache_info().misses == 2
 
@@ -226,7 +226,7 @@ def test_pass_costs_equal_scalar_path(p, threads):
     for _ in range(10):
         n, m, d = rng.integers(2, 400), rng.integers(2, 400), rng.integers(1, 9)
         X, Y, dirs = random_pass_inputs(rng, n, m, d, _CHUNK + rng.integers(1, 100))
-        est = _direction_pass(X, Y, dirs, p, False, threads)[0]
+        est = estimators.sliced_estimate(X, Y, dirs, p, threads)
         # the projections are the pass's own panel products: a single
         # direction's matrix-vector product may round differently
         want = [wasserstein_pp(sort_projection(sx), sort_projection(sy), p)
@@ -238,14 +238,15 @@ def test_pass_costs_equal_scalar_path(p, threads):
 @pytest.mark.parametrize("n,m,p", at_exponents([(60, 60), (90, 41), (41, 90), (2, 5)]))
 def test_pass_is_block_invariant(n, m, p, monkeypatch):
     """One direction per block, the default and one block per chunk give
-    the same costs and potential sums, bit for bit."""
+    the same costs and potential sums, bit for bit, and ``sliced_estimate``
+    in one thread gives the costs of the pass in two."""
     rng = np.random.default_rng(n * m + 3)
     X, Y, dirs = random_pass_inputs(rng, n, m, 4, _CHUNK + 77)
     results = []
     for block_bytes in (8, _BLOCK_BYTES, 2 ** 30):
         monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
-        est, g_x, g_y = _direction_pass(X, Y, dirs, p, True, 2)
-        plain = _direction_pass(X, Y, dirs, p, False, 1)[0]
+        est, g_x, g_y = _direction_pass(X, Y, dirs, p, 2)
+        plain = estimators.sliced_estimate(X, Y, dirs, p, 1)
         assert_same_bits(plain.per_direction, est.per_direction)
         results.append((est.per_direction, g_x, g_y))
     for got in results[1:]:
@@ -273,14 +274,14 @@ def test_multi_panel_pass_matches_reference(p, multi_panel_inputs):
 def test_multi_panel_pass_is_thread_and_block_invariant(multi_panel_inputs,
                                                         monkeypatch):
     """Threads 1 and 2, one direction per block, the default and one block
-    per panel give the same bits; the costs alone equal the costs of the
-    pass with potentials."""
+    per panel give the same bits; ``sliced_estimate`` gives the pass's
+    costs."""
     X, Y, dirs = multi_panel_inputs
-    want = _direction_pass(X, Y, dirs, 2.0, True, 1)
+    want = _direction_pass(X, Y, dirs, 2.0, 1)
     for block_bytes in (8, _BLOCK_BYTES, 2 ** 30):
         monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
         for threads in (1, 2):
-            est, g_x, g_y = _direction_pass(X, Y, dirs, 2.0, True, threads)
+            est, g_x, g_y = _direction_pass(X, Y, dirs, 2.0, threads)
             for got, w in zip((est.per_direction, g_x, g_y),
                               (want[0].per_direction, *want[1:])):
                 assert_same_bits(got, w)
@@ -299,7 +300,7 @@ def test_tie_heavy_pass_matches_stable_reference(n, m, threads, p):
     Y = tie_heavy_sample(rng, m, d)
     dirs = tie_heavy_directions(rng, d, _CHUNK + 40)
     want = reference_pass(X, Y, dirs, p)
-    est, g_x, g_y = _direction_pass(X, Y, dirs, p, True, threads)
+    est, g_x, g_y = _direction_pass(X, Y, dirs, p, threads)
     for g, w in zip((est.per_direction, g_x, g_y), want):
         assert_same_bits(g, w)
 
@@ -358,17 +359,19 @@ def test_key_sort_all_equal_rows(p, fallbacks):
     assert fallbacks() == 0
 
 
-@pytest.mark.parametrize("potentials", [True, False])
+@pytest.mark.parametrize("entry", [estimators.sliced_estimate, estimators.v_hat_sq,
+                                   inference.analyze], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_overflowing_projection_raises(sign, potentials):
+def test_overflowing_projection_raises(sign, entry):
     """A finite point whose projection overflows to inf, keyed with index 1,
-    is a NaN key; the pass must still see the infinite cost."""
+    is a NaN key; every public path through the pass must still see the
+    infinite cost."""
     X = as_sample_matrix(np.array([[0.0, 0.0], [1.5e308, 1.5e308]]) * sign)
     Y = as_sample_matrix(np.zeros((2, 2)))
-    dirs = DirectionSet(dirs=np.array([[0.6, 0.8]]), k=1, seed=0, stream_id=0)
+    dirs = DirectionSet(dirs=np.array([[0.6, 0.8]] * 2), k=2, seed=0, stream_id=0)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="overflows float64.*rescale"):
-            _direction_pass(X, Y, dirs, 2.0, potentials, 1)
+            entry(X, Y, dirs)
 
 
 def traced_peak_mib(X, Y, dirs, threads):
@@ -376,7 +379,7 @@ def traced_peak_mib(X, Y, dirs, threads):
     with potentials, beyond what was held before it."""
     tracemalloc.start()
     try:
-        _direction_pass(X, Y, dirs, 2.0, True, threads)
+        _direction_pass(X, Y, dirs, 2.0, threads)
         return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
     finally:
         tracemalloc.stop()

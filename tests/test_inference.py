@@ -268,14 +268,30 @@ def test_overflowing_projection_raises():
             analyze(as_sample_matrix(X), Y, dirs, p=1.5)
 
 
+OVERFLOWING_POTENTIALS = np.array([[0.0], [1e200], [3.0]])
+
+
 def test_overflowing_potentials_raise():
     """Equal samples give zero costs, but the potential steps |1e200 - 3|^2
     overflow, and inf - inf leaves NaN potentials."""
-    X = as_sample_matrix(np.array([[0.0], [1e200], [3.0]]))
+    X = as_sample_matrix(OVERFLOWING_POTENTIALS)
     dirs = sample_directions(1, 4, seed=13)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="overflows float64.*rescale"):
             analyze(X, X, dirs)
+
+
+@pytest.mark.parametrize("entry", [sliced_estimate, v_hat_sq],
+                         ids=lambda f: f.__name__)
+def test_overflowing_potentials_raise_in_every_estimator(entry):
+    """The data above raise in the estimators as in ``analyze``, and as the
+    CLI exits 2 on them (``test_cli::test_overflowing_potentials_exit_2``):
+    ``sliced_estimate`` too, whose costs alone are finite."""
+    X = as_sample_matrix(OVERFLOWING_POTENTIALS)
+    dirs = sample_directions(1, 4, seed=13)
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match="overflows float64.*rescale"):
+            entry(X, X, dirs)
 
 
 def test_overflowing_mean_raises():
