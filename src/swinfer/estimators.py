@@ -20,6 +20,7 @@ inference pipeline all read from it.
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -72,18 +73,51 @@ class VarianceComponents:
 
 
 class _Side:
-    """One sample's sorted block in a chunk's working set: the sort keys,
+    """One sample's sorted block in a thread's working set: the sort keys,
     which end as the permutation, the sorted rows and their sortedness
     flags, each of its exact width, so that a block's rows are a
-    contiguous prefix."""
+    contiguous prefix. Each row's column indices, and the offsets that
+    turn them into indices of the raveled block, are full tables: numpy
+    buffers an operand broadcast over short rows, allocating as it goes."""
 
     def __init__(self, rows: int, n: int):
-        self.index = np.arange(n)
-        # turn each row's column indices into indices of the raveled block
-        self.offsets = np.arange(rows)[:, None] * n
+        self.index = np.tile(np.arange(n), (rows, 1))
+        self.offsets = np.repeat(np.arange(rows) * n, n).reshape(rows, n)
         self.order = np.empty((rows, n), dtype=np.int64)
         self.values = np.empty((rows, n))
-        self.ordered = np.empty((rows, n - 1), dtype=bool)
+        self.ordered = np.empty((rows, n), dtype=bool)
+
+
+class _WorkingSet:
+    """A thread's buffers for ``_pass_chunk``, sized by ``key`` = (n, m,
+    panel height, block rows): one projection panel per sample, both
+    samples' ``_Side`` buffers, the cell masses repeated on every block row
+    and the arena of the block stages."""
+
+    def __init__(self, key):
+        n, m, height, rows = self.key = key
+        self.panel_x, self.panel_y = np.empty((height, n)), np.empty((height, m))
+        self.side_x, self.side_y = _Side(rows, n), _Side(rows, m)
+        mass = _coupling(n, m).mass
+        self.masses = np.tile(mass, (rows, 1))
+        # the cell costs and their differences, then one sample's potentials
+        # and computed upper costs; the gather's flat indices fit in front
+        self.arena = np.empty(rows * (2 * mass.size + max(n, m) + math.gcd(n, m)))
+
+
+_held = threading.local()
+
+
+def _working_set(n: int, m: int, height: int, rows: int) -> _WorkingSet:
+    """This thread's working set for the key (n, m, height, rows): the one it
+    holds if the key is unchanged, else a new one that replaces it."""
+    key = (n, m, height, rows)
+    held = getattr(_held, "set", None)
+    if held is None or held.key != key:
+        # let the old set go before the new one is built
+        held = _held.set = None
+        held = _held.set = _WorkingSet(key)
+    return held
 
 
 def _carve(arena: np.ndarray, shape, start: int = 0) -> np.ndarray:
@@ -100,7 +134,7 @@ def _sorted_order(block: np.ndarray, side: _Side, arena: np.ndarray):
     flat = _carve(arena, (rows, n)).view(np.int64)
     low = (1 << max(1, (n - 1).bit_length())) - 1
     np.bitwise_and(block.view(np.int64), ~low, out=order)
-    order |= side.index
+    order |= side.index[:rows]
     order.view(np.float64).sort(axis=1)
     nan = np.isnan(order.view(np.float64)[:, -1]).any()
     order &= low
@@ -108,7 +142,11 @@ def _sorted_order(block: np.ndarray, side: _Side, arena: np.ndarray):
     # the block to the argsort; every other index is in range
     block.ravel().take(np.add(order, side.offsets[:rows], out=flat), out=s,
                        mode="clip")
-    ordered = np.greater_equal(s[:, 1:], s[:, :-1], out=side.ordered[:rows])
+    # compared over the raveled rows, as numpy buffers a comparison of
+    # column slices; each row's last flag compares two rows, and is set
+    ordered, run = side.ordered[:rows], s.ravel()
+    np.greater_equal(run[1:], run[:-1], out=ordered.ravel()[:-1])
+    ordered[:, -1] = True
     if nan or not ordered.all():
         order[...] = np.argsort(block, axis=1)
         block.ravel().take(np.add(order, side.offsets[:rows], out=flat), out=s,
@@ -126,13 +164,23 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     reuses. A panel's rows are walked in blocks of ``_BLOCK_BYTES // (8 (n +
     m))`` directions (at least one, at most the panel), so that a block's
     sorts, gathers, costs, potentials and scatter stay in cache; no block
-    straddles two panels. Every block temporary lives in one working set,
-    allocated once per chunk and written through ``out=``, so the block
-    loop allocates no block-sized array: each sample's sort keys, sorted
-    rows and sortedness flags (``_Side``), and one arena that the block's
-    stages take in turn, for the gathers' flat indices, the cost cells and
-    each sample's potentials and step scratch. A worker holds one panel
-    and one block's buffers, whatever k.
+    straddles two panels. Every buffer lives in the thread's working set
+    (``_WorkingSet``) and is written through ``out=``: the two panels, each
+    sample's sort keys, sorted rows, sortedness flags and index tables
+    (``_Side``), the cell masses on every block row, and one arena that the
+    block's stages take in turn, for the gathers' flat indices, the cell
+    costs and their differences, and each sample's potentials and computed
+    upper costs. The cost kernel leaves the cells there and both samples'
+    potentials read them (see ``potential_values_batch``).
+
+    A thread builds its working set on its first block, keyed by (n, m,
+    panel height, block rows), and holds it until its next pass with
+    another key, which replaces it: one set per thread. The buffers are
+    sized for a full chunk, so the key is fixed by (n, m) and the byte
+    constants, whatever k, and a pass's chunks share one set: about 5.0 MiB
+    at 500/300, 5.6 MiB at 4000/4000 and 9.2 MiB at 60000/36000. So a
+    repeat pass at one shape, such as each replication of a ``simulate``
+    cell, allocates no block-sized array and faults no page in again.
 
     ``_sorted_order`` gets each row's permutation from a value sort,
     several times faster than an argsort. With b = max(1, bit length of
@@ -151,30 +199,27 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     which permutation sorts a row.
     """
     (k, _), n, m = dir_rows.shape, X.n, Y.n
-    height = min(k, max(1, _PANEL_BYTES // (8 * (n + m))))
+    height = min(_CHUNK, max(1, _PANEL_BYTES // (8 * (n + m))))
     rows = min(height, max(1, _BLOCK_BYTES // (8 * (n + m))))
-    panel_x, panel_y = np.empty((height, n)), np.empty((height, m))
-    layers, cells = (1 if n == m else 2), _coupling(n, m).mass.size
-    # the largest stage: the cost cells, or one sample's potentials and step
-    # scratch (which also cover the gather's flat indices)
-    arena = np.empty(rows * max(layers * cells, 2 * max(n, m) - 1))
-    side_x, side_y = _Side(rows, n), _Side(rows, m)
+    held = _working_set(n, m, height, rows)
+    cells, g = _coupling(n, m).mass.size, math.gcd(n, m)
     gx_sum, gy_sum = np.zeros(n), np.zeros(m)
     for top in range(0, k, height):
         panel = dir_rows[top:top + height]
-        px = np.matmul(panel, X.data.T, out=panel_x[:len(panel)])
-        py = np.matmul(panel, Y.data.T, out=panel_y[:len(panel)])
+        px = np.matmul(panel, X.data.T, out=held.panel_x[:len(panel)])
+        py = np.matmul(panel, Y.data.T, out=held.panel_y[:len(panel)])
         for lo in range(0, len(panel), rows):
             bx, by = px[lo:lo + rows], py[lo:lo + rows]
             r = len(bx)
-            sx, ox = _sorted_order(bx, side_x, arena)
-            sy, oy = _sorted_order(by, side_y, arena)
+            sx, ox = _sorted_order(bx, held.side_x, held.arena)
+            sy, oy = _sorted_order(by, held.side_y, held.arena)
+            shared = _carve(held.arena, (2, r, cells))
             wasserstein_pp_batch(sx, sy, p, out=costs[top + lo:top + lo + r],
-                                 cells=_carve(arena, (layers, r, cells)))
+                                 cells=shared, masses=held.masses[:r])
             for sums, s, t, order in ((gx_sum, sx, sy, ox), (gy_sum, sy, sx, oy)):
-                phi = _carve(arena, s.shape)
-                upper = _carve(arena, (r, s.shape[1] - 1), phi.size)
-                potential_values_batch(s, t, p, out=phi, upper=upper)
+                phi = _carve(held.arena, s.shape, shared.size)
+                upper = _carve(held.arena, (r * g - 1,), shared.size + phi.size)
+                potential_values_batch(s, t, p, out=phi, upper=upper, cells=shared)
                 np.add.at(sums, order.ravel(), phi.ravel())
     return gx_sum, gy_sum
 
@@ -211,9 +256,12 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     boundaries are fixed by ``_CHUNK`` alone and panel boundaries by
     ``_CHUNK`` and (n, m) alone, and chunk results are added in chunk order
     as they arrive, so the output does not depend on the worker count.
-    Each worker holds one chunk's panel and working set (see
-    ``_pass_chunk``), so memory grows with (n, m) and the worker count,
-    not with k.
+    Each worker thread holds one working set (see ``_pass_chunk``), so
+    memory grows with (n, m) and the worker count, not with k. A pass of
+    one chunk, or with one thread, runs on the calling thread, which keeps
+    its set until its next pass at another shape; a pool's threads end
+    with the pass, and their sets with them. In every block the cost
+    kernel builds the cell costs once and both potentials read them.
     """
     _check_threads(threads)
     p = _check_p(p)

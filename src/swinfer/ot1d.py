@@ -20,7 +20,9 @@ the c-conjugate phi^c(t) = min_i (h(s_(i) - t) - phi(s_(i))) this attains
 the primal cost: strong duality holds exactly for empirical measures, up
 to floating-point rounding. Each step is a difference of costs of s - t,
 so a common translation of both samples leaves every value unchanged up to
-rounding, with nothing large squared before it cancels.
+rounding, with nothing large squared before it cancels. The batch kernels
+build each cell's cost once: the cost kernel leaves them, and both samples'
+potentials read their steps from them.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def sort_projection(values) -> SortedProjection:
     return SortedProjection(values=values[perm], perm=perm)
 
 
-_Coupling = namedtuple("_Coupling", "i0 j0 mass steps")
+_Coupling = namedtuple("_Coupling", "i0 j0 mass steps lasts")
 
 
 @lru_cache(maxsize=32)
@@ -94,28 +96,32 @@ def _coupling(n: int, m: int) -> _Coupling:
     ``i0`` and ``j0`` are the cells' 0-based source and target ranks and
     ``mass`` their masses, in increasing quantile order, at most n + m - 1
     cells; per source rank the masses sum to 1/n, per target rank to 1/m.
-    ``steps`` holds r(i) - 1 for i = 1..n-1, the target rank each potential
-    step is taken against: the target rank of source rank i's last cell,
-    read where ``i0`` moves on to the next rank. Breakpoints are merged
-    exactly, in integers over n*m, by one sort and a dedupe (``np.union1d``
-    took 18 times as long at 60000/36000 on numpy 2.4), so every cell has
-    positive mass.
+    ``lasts[i]`` is the last cell of source rank i - 1 for i = 1..n-1, the
+    cell a potential step from rank i - 1 to rank i is taken against, and
+    ``lasts[0]`` is 0, a place holder, so that one gather fills a whole row
+    of potentials. ``steps`` holds those cells' target ranks, r(i) - 1 for
+    i = 1..n-1. Breakpoints are merged exactly, in integers over n*m, by one
+    sort and a dedupe (``np.union1d`` took 18 times as long at 60000/36000
+    on numpy 2.4), so every cell has positive mass. The (m, n) table has
+    the same cells in the same order, with the ranks swapped.
     """
     if n < 1 or m < 1:
         raise ValueError("sample sizes must be positive")
     if n > m:
         # the breakpoint merge is symmetric: share the (m, n) cells, swapped
-        j0, i0, mass, _ = _coupling(m, n)
+        j0, i0, mass, *_ = _coupling(m, n)
     else:
         edges = np.sort(np.concatenate((np.arange(n, dtype=np.int64) * m,
                                         np.arange(1, m + 1, dtype=np.int64) * n)))
         edges = edges[np.diff(edges, prepend=-1) != 0]
         i0, j0, mass = edges[:-1] // m, edges[:-1] // n, np.diff(edges) / float(n * m)
-        for arr in (i0, j0, mass):
-            arr.setflags(write=False)
-    steps = j0[np.flatnonzero(np.diff(i0))]
-    steps.setflags(write=False)
-    return _Coupling(i0, j0, mass, steps)
+    # each rank's last cell is the one before the next rank's first
+    lasts = np.flatnonzero(np.diff(i0, prepend=-1)) - 1
+    lasts[0] = 0
+    steps = j0[lasts[1:]]
+    for arr in (i0, j0, mass, steps, lasts):
+        arr.setflags(write=False)
+    return _Coupling(i0, j0, mass, steps, lasts)
 
 
 def _pow_cost(diff: np.ndarray, p: float) -> np.ndarray:
@@ -151,7 +157,7 @@ def wasserstein_pp(s: SortedProjection, t: SortedProjection, p: float) -> float:
         Sum over coupling cells of mass * |s_(i) - t_(j)|^p.
     """
     p = _check_p(p)
-    i0, j0, mass, _ = _coupling(s.n, t.n)
+    i0, j0, mass, *_ = _coupling(s.n, t.n)
     with _quiet():
         cost = float(np.sum(mass * _pow_cost(s.values[i0] - t.values[j0], p)))
     return _finite(cost)
@@ -159,34 +165,52 @@ def wasserstein_pp(s: SortedProjection, t: SortedProjection, p: float) -> float:
 
 def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float,
                          out: np.ndarray | None = None,
-                         cells: np.ndarray | None = None) -> np.ndarray:
+                         cells: np.ndarray | None = None,
+                         masses: np.ndarray | None = None) -> np.ndarray:
     """Row-wise W_p^p for stacks of pre-sorted samples.
 
     ``S`` has shape (k, n) and ``T`` shape (k, m), each row sorted, and
     ``p`` is a float that ``_check_p`` passed; the result is the length-k
     vector of per-row costs, written into ``out`` if given. ``cells``, if
     given, is a C-ordered (2, k, c) array, c the number of coupling cells,
-    whose layers stand in for the two gathers' fresh arrays; (1, k, c) will
-    do when n == m. Neither changes a bit.
+    that stands in for the kernel's fresh one. ``masses``, if given, is the
+    cells' masses repeated on each of the k rows, C-ordered, as numpy
+    buffers a product with one row broadcast over short rows, allocating as
+    it goes. None of them changes a bit.
+
+    The kernel leaves in ``cells`` what the potentials of both samples read
+    (see ``potential_values_batch``): the first layer holds the unweighted
+    cell costs h(s_(i) - t_(j)), and, unless n == m, the second holds the
+    difference of each cell's cost from the next one's, c - 1 per row.
 
     The cell costs are built C-ordered (``take``; a fancy index would give
-    Fortran order), so ``sum(axis=1)`` reduces each contiguous row alone,
-    pairwise, exactly as ``wasserstein_pp`` sums one sample: every row's
-    cost equals the scalar path's bit for bit, whatever k is. A matrix
-    product with ``mass`` would pick its summation by the number of rows.
+    Fortran order), so ``sum(axis=1)`` reduces each contiguous row of their
+    weighted copy alone, pairwise, exactly as ``wasserstein_pp`` sums one
+    sample: every row's cost equals the scalar path's bit for bit, whatever
+    k is. A matrix product with ``mass`` would pick its summation by the
+    number of rows.
     """
-    i0, j0, mass, _ = _coupling(S.shape[1], T.shape[1])
-    diff, gathered = (None, None) if cells is None else (cells[0], cells[-1])
-    if S.shape[1] == T.shape[1]:
-        diff = np.subtract(S, T, out=diff)
+    n, m = S.shape[1], T.shape[1]
+    i0, j0, mass, *_ = _coupling(n, m)
+    if cells is None:
+        cells = np.empty((2, S.shape[0], mass.size))
+    costs, scratch = cells
+    if n == m:
+        np.subtract(S, T, out=costs)
     else:
         # the cells' ranks are in range, so "clip" never clips; it only
         # keeps ``take`` from buffering ``out``, as "raise" does
-        diff = S.take(i0, axis=1, out=diff, mode="clip")
-        diff -= T.take(j0, axis=1, out=gathered, mode="clip")
-    _pow_cost(diff, p)
-    diff *= mass
-    return diff.sum(axis=1, out=out)
+        S.take(i0, axis=1, out=costs, mode="clip")
+        costs -= T.take(j0, axis=1, out=scratch, mode="clip")
+    _pow_cost(costs, p)
+    out = np.multiply(costs, mass if masses is None else masses,
+                      out=scratch).sum(axis=1, out=out)
+    if n != m:
+        # over the whole raveled layer: the last difference of each row
+        # straddles two rows and is never read
+        flat = costs.ravel()
+        np.subtract(flat[1:], flat[:-1], out=scratch.ravel()[:-1])
+    return out
 
 
 def potential_values(s: SortedProjection, t: SortedProjection,
@@ -206,40 +230,53 @@ def potential_values(s: SortedProjection, t: SortedProjection,
 
 def potential_values_batch(S: np.ndarray, T: np.ndarray, p: float,
                            out: np.ndarray | None = None,
-                           upper: np.ndarray | None = None) -> np.ndarray:
+                           upper: np.ndarray | None = None,
+                           cells: np.ndarray | None = None) -> np.ndarray:
     """Row-wise potentials for stacks of pre-sorted samples.
 
-    ``S`` is (k, n) and ``T`` is (k, m), each row sorted, and ``p`` is as
-    for ``wasserstein_pp_batch``. Returns the (k, n) matrix of phi values
-    at the sorted source points, row by row, written into ``out`` if
-    given; ``upper``, if given, is a C-ordered (k, n - 1) scratch array.
-    Neither changes a bit.
+    ``S`` is (k, n) and ``T`` is (k, m), each row sorted and C-ordered, and
+    ``p`` is as for ``wasserstein_pp_batch``. Returns the (k, n) matrix of
+    phi values at the sorted source points, row by row, written into
+    ``out`` if given, which must be C-ordered; ``upper``, if given, is a
+    scratch array of k gcd(n, m) - 1 entries. ``cells`` is the (2, k, c)
+    array that ``wasserstein_pp_batch`` leaves for (S, T) or for (T, S),
+    built here if not given: the two orders have the same cells in the same
+    order, and |x - y|^p has the bits of |y - x|^p. None of them changes a
+    bit.
 
-    The lower costs h(s_(i) - t_(r(i))) are written into the output, the
-    upper costs h(s_(i+1) - t_(r(i))) into the scratch array, and each step
-    is their difference, cumulated along the row. Every element takes the
-    same operations whatever k is, so the direction pass may hand over its
-    rows in blocks of any height; it keeps them cache-sized.
+    A step's lower cost h(s_(i) - t_(r(i))) is source rank i's last cell,
+    and its upper cost h(s_(i+1) - t_(r(i))) is the next cell unless the
+    two grids share the boundary i/n. So one gather of the cells'
+    differences at ``lasts`` gives every step but those; when n == m it
+    gives none and is skipped. With g = gcd(n, m), the grids share g - 1
+    boundaries, at i = q n/g for q = 1..g-1, where r(i) = q m/g and the
+    lower cost is cell q (n + m)/g - q - 1. Each of these steps strides
+    evenly through S, T, the cells and the output, so its upper cost is
+    computed, and the step taken, over the raveled rows. Each step, upper
+    minus lower, is cumulated along the row. Every element takes the same
+    operations whatever k is, so the direction pass may hand over its rows
+    in blocks of any height; it keeps them cache-sized.
     """
     n, m = S.shape[1], T.shape[1]
+    coupling = _coupling(n, m)
+    if cells is None:
+        cells = np.empty((2, S.shape[0], coupling.mass.size))
+        wasserstein_pp_batch(S, T, p, cells=cells)
     if out is None:
         out = np.empty(S.shape)
+    g = math.gcd(n, m)
+    a, b = n // g, m // g
+    if n != m:
+        # ``take`` gathers in C order; a fancy index would give Fortran
+        # order. ``lasts`` is in range, so "clip" never clips
+        cells[1].take(coupling.lasts, axis=1, out=out, mode="clip")
+    # over the raveled rows, so that numpy does not buffer column slices:
+    # the last entry of each row straddles two rows and lands on the next
+    # row's first potential, which is set below
+    upper = _pow_cost(np.subtract(S.ravel()[a::a], T.ravel()[b - 1:-1:b], out=upper), p)
+    np.subtract(upper, cells[0].ravel()[a + b - 2:-1:a + b - 1], out=out.ravel()[a::a])
     out[:, 0] = 0.0
-    steps = out[:, 1:]
-    # r(i) = i when m == n, so t_(r(i)) is a view and needs no gather.
-    # ``take`` gathers in C order; a fancy index would give Fortran order,
-    # and the mixed-layout arithmetic below runs about twice as slow. The
-    # step targets are in range, so "clip" never clips; it only keeps
-    # ``take`` from buffering ``out``.
-    if m == n:
-        t_r = T[:, :-1]
-    else:
-        t_r = upper = T.take(_coupling(n, m).steps, axis=1, out=upper,
-                             mode="clip")
-    _pow_cost(np.subtract(S[:, :-1], t_r, out=steps), p)
-    upper = _pow_cost(np.subtract(S[:, 1:], t_r, out=upper), p)
-    np.subtract(upper, steps, out=steps)
-    np.cumsum(steps, axis=1, out=steps)
+    np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
 
 

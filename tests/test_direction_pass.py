@@ -5,10 +5,16 @@ block by block through a value sort of index-tagged keys, falling back to
 an unstable argsort. Each test here compares the production code with the
 plain expressions it replaces using exact equality, on inputs chosen to
 stress ties and the keys: rounded data, duplicated rows, both signed
-zeros, subnormals, near neighbours and axis-aligned directions.
+zeros, subnormals, near neighbours and axis-aligned directions. A thread
+keeps its working set from pass to pass: the last tests pin what a repeat
+pass allocates, and that a kept set gives the bits of a fresh one.
 """
 
+import itertools
+import math
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,8 +27,11 @@ from swinfer.geometry import DirectionSet, as_sample_matrix
 from swinfer.ot1d import (_coupling, potential_values_batch, sort_projection,
                           wasserstein_pp, wasserstein_pp_batch)
 
-# single points, n == m, n > m and n < m, small and large
-SHAPES = [(1, 1), (1, 4), (7, 7), (7, 3), (3, 7), (300, 300), (300, 200)]
+# single points, n == m, n > m and n < m, small and large; gcd(n, m) > 1
+# with n != m, where some upper costs of the potentials are not cells, from
+# (300, 200) on
+SHAPES = [(1, 1), (1, 4), (7, 7), (7, 3), (3, 7), (300, 300), (300, 200),
+          (200, 300), (4, 6), (6, 4), (2400, 4000)]
 
 
 def at_exponents(cases):
@@ -41,7 +50,7 @@ def assert_same_bits(got, want):
 
 def reference_cost(S, T, p):
     """Each row's cost summed as ``wasserstein_pp`` sums one sample."""
-    i0, j0, mass, _ = _coupling(S.shape[1], T.shape[1])
+    i0, j0, mass, *_ = _coupling(S.shape[1], T.shape[1])
     costs = []
     for s, t in zip(S, T):
         diff = s[i0] - t[j0]
@@ -128,8 +137,8 @@ def tie_heavy_directions(rng, d, k):
 @pytest.mark.parametrize("n,m", SHAPES)
 def test_cost_kernel_matches_reference_bitwise(n, m, p):
     rng = np.random.default_rng(1000 * n + m)
-    S = sorted_stack(rng, 9, n, 1)
-    T = sorted_stack(rng, 9, m, 0)
+    S = sorted_stack(rng, block_rows(n, m), n, 1)
+    T = sorted_stack(rng, block_rows(n, m), m, 0)
     S0, T0 = S.copy(), T.copy()
     got = wasserstein_pp_batch(S, T, p)
     assert_array_equal(S, S0)
@@ -140,13 +149,32 @@ def test_cost_kernel_matches_reference_bitwise(n, m, p):
 @pytest.mark.parametrize("n,m,p", at_exponents(SHAPES))
 def test_potential_kernel_matches_reference_bitwise(n, m, p):
     rng = np.random.default_rng(1000 * n + m + 7)
-    S = sorted_stack(rng, 9, n, 0)
-    T = sorted_stack(rng, 9, m, 1)
+    S = sorted_stack(rng, block_rows(n, m), n, 0)
+    T = sorted_stack(rng, block_rows(n, m), m, 1)
     S0, T0 = S.copy(), T.copy()
     got = potential_values_batch(S, T, p)
     assert_array_equal(S, S0)
     assert_array_equal(T, T0)
     assert_same_bits(got, reference_potentials(S, T, p))
+
+
+@pytest.mark.parametrize("n,m,p", at_exponents(SHAPES))
+def test_shared_cells_give_the_cost_and_both_potentials(n, m, p):
+    """As the pass runs them: the cost kernel leaves its cells in buffers
+    that held other values, and both samples' potentials read them."""
+    rows = block_rows(n, m)
+    rng = np.random.default_rng(1000 * n + m + 13)
+    S = sorted_stack(rng, rows, n, 1)
+    T = sorted_stack(rng, rows, m, 0)
+    cells = np.full((2, rows, _coupling(n, m).mass.size), np.nan)
+    costs = np.full(rows, np.nan)
+    wasserstein_pp_batch(S, T, p, out=costs, cells=cells)
+    assert_same_bits(costs, reference_cost(S, T, p))
+    upper = np.full(rows * math.gcd(n, m) - 1, np.nan)
+    for s, t in ((S, T), (T, S)):
+        phi = np.full(s.shape, np.nan)
+        potential_values_batch(s, t, p, out=phi, upper=upper, cells=cells)
+        assert_same_bits(phi, reference_potentials(s, t, p))
 
 
 def block_rows(n, m):
@@ -374,12 +402,20 @@ def test_overflowing_projection_raises(sign, entry):
             entry(X, Y, dirs)
 
 
+def on_fresh_thread(fn, *args):
+    """``fn(*args)`` on a thread of its own, which holds no working set
+    before the call and gives its own back when it ends."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result()
+
+
 def traced_peak_mib(X, Y, dirs, threads):
     """Peak of the memory that numpy and Python allocate during one pass
-    with potentials, beyond what was held before it."""
+    with potentials, beyond what was held before it, on a fresh thread, so
+    that the pass builds its working set."""
     tracemalloc.start()
     try:
-        _direction_pass(X, Y, dirs, 2.0, threads)
+        on_fresh_thread(_direction_pass, X, Y, dirs, 2.0, threads)
         return tracemalloc.get_traced_memory()[1] / 2.0 ** 20
     finally:
         tracemalloc.stop()
@@ -399,3 +435,77 @@ def test_pass_memory_is_bounded_by_the_sample_sizes():
     assert full <= small + slack, (small, full)
     assert pair <= 2.0 * full + slack, (full, pair)
     assert max(small, full, pair) < 32.0, (small, full, pair)
+
+
+def test_repeat_pass_allocates_nothing_block_sized():
+    """A thread keeps its working set across passes of one shape: a repeat
+    pass at the criterion-6 shape allocates none of its panels, sort
+    buffers or arena (one block's share alone is several hundred KiB)."""
+    X, Y, dirs = random_pass_inputs(np.random.default_rng(23), 500, 300, 8, 400)
+
+    def repeat_peak():
+        _direction_pass(X, Y, dirs, 2.0, 1)
+        tracemalloc.start()
+        try:
+            _direction_pass(X, Y, dirs, 2.0, 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = on_fresh_thread(repeat_peak)
+    assert peak < 64 * 1024, peak
+
+
+# 4000/4000 at k = 600 is two chunks of several panels each
+KEPT_SET_PASSES = [(500, 300, 400), (4000, 4000, 600), (7, 3, 40), (500, 300, 400)]
+
+
+@pytest.fixture(scope="module")
+def kept_set_inputs():
+    rng = np.random.default_rng(31)
+    return [random_pass_inputs(rng, n, m, 5, k) for n, m, k in KEPT_SET_PASSES]
+
+
+def assert_same_pass(got, want):
+    for a, b in zip((got[0].per_direction, *got[1:]), (want[0].per_direction, *want[1:])):
+        assert_same_bits(a, b)
+
+
+def test_kept_working_set_is_never_reused_for_another_shape(kept_set_inputs,
+                                                            monkeypatch):
+    """One thread alternates shapes, exponents and block heights; each pass
+    gives the bits of the same pass on a fresh thread, and the thread holds
+    one working set, keyed by the last pass's shape."""
+    for block_bytes in (_BLOCK_BYTES, 8, _BLOCK_BYTES):
+        monkeypatch.setattr(estimators, "_BLOCK_BYTES", block_bytes)
+        for p, (X, Y, dirs) in itertools.product((1.5, 2.0, 3.0), kept_set_inputs):
+            want = on_fresh_thread(_direction_pass, X, Y, dirs, p, 1)
+            assert_same_pass(_direction_pass(X, Y, dirs, p, 1), want)
+            height = min(_CHUNK, _PANEL_BYTES // (8 * (X.n + Y.n)))
+            rows = min(height, max(1, block_bytes // (8 * (X.n + Y.n))))
+            assert estimators._held.set.key == (X.n, Y.n, height, rows)
+
+
+def test_threads_with_different_shapes_keep_their_own_sets(kept_set_inputs):
+    """More threads than cores run different shapes at the same time, each
+    in its own order and switching often; every pass gives the bits of the
+    same pass on a fresh thread."""
+    wants = [on_fresh_thread(_direction_pass, *inputs, 2.0, 1)
+             for inputs in kept_set_inputs]
+
+    def run(order):
+        return [(i, _direction_pass(*kept_set_inputs[i], 2.0, 1)) for i in order]
+
+    count = len(kept_set_inputs)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(run, [(i + shift) % count for i in range(2 * count)])
+                       for shift in range(4)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for passes in results:
+        for i, got in passes:
+            assert_same_pass(got, wants[i])

@@ -25,7 +25,7 @@ def brute_cells(n, m):
 def kernel_cells(n, m):
     """(i, j, mass) per coupling cell, with 1-based ranks, read off the
     arrays the cost kernels use."""
-    i0, j0, mass, _ = _coupling(n, m)
+    i0, j0, mass, *_ = _coupling(n, m)
     return [(int(i) + 1, int(j) + 1, float(w)) for i, j, w in zip(i0, j0, mass)]
 
 

@@ -20,7 +20,7 @@ def rank_from_cells(n, m):
     """Oracle: largest coupled target rank per source rank, read off the
     coupling's cell arrays."""
     out = np.zeros(n, dtype=int)
-    i0, j0, _, _ = _coupling(n, m)
+    i0, j0, *_ = _coupling(n, m)
     for i, j in zip(i0, j0):
         out[i] = max(out[i], j + 1)
     return out
