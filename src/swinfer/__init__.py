@@ -14,14 +14,13 @@ from .distributions import (GaussianSpec, JAlphaResult, gaussian_quantile_densit
                             gaussian_sw2_meanshift, j_alpha, sample_gaussian,
                             uniform_quantile_density)
 from .estimators import (SlicedEstimate, VarianceComponents, combined_variance,
-                         sliced_estimate, v_hat_sq, w_hat_sq)
-from .geometry import (DirectionSet, SampleMatrix, as_sample_matrix,
-                       sample_directions)
+                         sliced_estimate, w_hat_sq)
+from .geometry import DirectionSet, SampleMatrix, sample_directions
 from .inference import (DegenerateVarianceError, InferenceReport, analyze,
                         confidence_interval, effective_rate, test_statistic,
                         two_sided_pvalue)
-from .ot1d import (SortedProjection, c_conjugate, duality_gap, potential_values,
-                   sort_projection, wasserstein_pp)
+from .ot1d import (SortedProjection, potential_values, sort_projection,
+                   wasserstein_pp)
 from .sim import CellResult, SimulationPlan, SimulationResult, run_plan
 
 __version__ = "0.1.0"
@@ -30,11 +29,10 @@ __all__ = [
     "CellResult", "DegenerateVarianceError", "DirectionSet", "GaussianSpec",
     "InferenceReport", "JAlphaResult", "SampleMatrix", "SimulationPlan",
     "SimulationResult", "SlicedEstimate", "SortedProjection",
-    "VarianceComponents", "analyze", "as_sample_matrix", "c_conjugate",
-    "combined_variance", "confidence_interval", "duality_gap",
-    "effective_rate", "gaussian_quantile_density", "gaussian_sw2_meanshift",
-    "j_alpha", "potential_values", "run_plan", "sample_directions",
-    "sample_gaussian", "sliced_estimate", "sort_projection", "test_statistic",
-    "two_sided_pvalue", "uniform_quantile_density", "v_hat_sq", "w_hat_sq",
-    "wasserstein_pp",
+    "VarianceComponents", "analyze", "combined_variance",
+    "confidence_interval", "effective_rate", "gaussian_quantile_density",
+    "gaussian_sw2_meanshift", "j_alpha", "potential_values", "run_plan",
+    "sample_directions", "sample_gaussian", "sliced_estimate",
+    "sort_projection", "test_statistic", "two_sided_pvalue",
+    "uniform_quantile_density", "w_hat_sq", "wasserstein_pp",
 ]

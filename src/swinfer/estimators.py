@@ -6,15 +6,15 @@ Three variance estimators feed the studentization:
 * ``w_hat_sq``, the dispersion of per-direction costs across directions
   (their two-pass population variance), which captures Monte Carlo
   projection noise;
-* ``v_hat_sq`` applied to (X, Y) and to (Y, X), the empirical variance over
-  source points of the direction-averaged optimal potential, which captures
-  sampling noise in the data;
+* ``v_hat_pq_sq`` and ``v_hat_qp_sq``, the empirical variance over X's and
+  over Y's points of the direction-averaged optimal potential, which
+  captures sampling noise in the data;
 * ``combined_variance``, a convex blend of the two weighted by how the
   direction budget k compares with the harmonic sample size nm/(n+m).
 
 One chunked sweep, ``_direction_pass``, yields the per-direction costs and
-the direction-averaged potentials; ``sliced_estimate``, ``v_hat_sq`` and the
-inference pipeline all read from it.
+the direction-averaged potentials; ``sliced_estimate`` and the inference
+pipeline read from it.
 """
 
 from __future__ import annotations
@@ -332,20 +332,6 @@ def w_hat_sq(est: SlicedEstimate) -> float:
     """
     _check_budget(est.k)
     return _variance(est.per_direction)
-
-
-def v_hat_sq(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet,
-             p: float = 2.0, threads: int = 1) -> float:
-    """Sampling-noise variance estimate from the |s - t|^p potentials.
-
-    Averages the per-direction potentials pointwise over directions and
-    returns the population variance of that average across X's rows. This
-    equals the full double sum over direction pairs of empirical potential
-    covariances, at O(k n) cost instead of O(k^2 n). Swap the arguments to
-    estimate the companion quantity for Y.
-    """
-    _, g_x, _ = _direction_pass(X, Y, dirs, p, threads)
-    return _variance(g_x)
 
 
 def combined_variance(n: int, m: int, k: int, w_hat_sq: float,

@@ -49,11 +49,6 @@ class SampleMatrix:
         object.__setattr__(self, "d", d)
 
 
-def as_sample_matrix(values) -> SampleMatrix:
-    """Coerce an array-like of shape (n, d) into a validated SampleMatrix."""
-    return SampleMatrix(np.asarray(values, dtype=np.float64))
-
-
 @dataclass(frozen=True, eq=False)
 class DirectionSet:
     """k unit vectors on S^(d-1) together with the stream that produced them.

@@ -18,11 +18,13 @@ ceil(i m / n). The coupling table reads r(i) off its cells, as the target
 of each source rank's last cell, so the rule has one home. Together with
 the c-conjugate phi^c(t) = min_i (h(s_(i) - t) - phi(s_(i))) this attains
 the primal cost: strong duality holds exactly for empirical measures, up
-to floating-point rounding. Each step is a difference of costs of s - t,
-so a common translation of both samples leaves every value unchanged up to
-rounding, with nothing large squared before it cancels. The batch kernels
-build each cell's cost once: the cost kernel leaves them, and both samples'
-potentials read their steps from them.
+to floating-point rounding. The package never evaluates phi^c: the tests
+keep it, and the duality gap, in ``tests/potential_reference.py``, as the
+oracle that these potentials attain the primal. Each step is a difference
+of costs of s - t, so a common translation of both samples leaves every
+value unchanged up to rounding, with nothing large squared before it
+cancels. The batch kernels build each cell's cost once: the cost kernel
+leaves them, and both samples' potentials read their steps from them.
 """
 
 from __future__ import annotations
@@ -163,20 +165,17 @@ def wasserstein_pp(s: SortedProjection, t: SortedProjection, p: float) -> float:
     return _finite(cost)
 
 
-def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float,
-                         out: np.ndarray | None = None,
-                         cells: np.ndarray | None = None,
-                         masses: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise W_p^p for stacks of pre-sorted samples.
+def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float, out: np.ndarray,
+                         cells: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Row-wise W_p^p for stacks of pre-sorted samples, into ``out``.
 
     ``S`` has shape (k, n) and ``T`` shape (k, m), each row sorted, and
-    ``p`` is a float that ``_check_p`` passed; the result is the length-k
-    vector of per-row costs, written into ``out`` if given. ``cells``, if
-    given, is a C-ordered (2, k, c) array, c the number of coupling cells,
-    that stands in for the kernel's fresh one. ``masses``, if given, is the
+    ``p`` is a float that ``_check_p`` passed; ``out`` receives the length-k
+    vector of per-row costs, which is returned. ``cells`` is a C-ordered
+    (2, k, c) array, c the number of coupling cells, and ``masses`` the
     cells' masses repeated on each of the k rows, C-ordered, as numpy
     buffers a product with one row broadcast over short rows, allocating as
-    it goes. None of them changes a bit.
+    it goes. The direction pass keeps all three in its working set.
 
     The kernel leaves in ``cells`` what the potentials of both samples read
     (see ``potential_values_batch``): the first layer holds the unweighted
@@ -191,9 +190,7 @@ def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float,
     number of rows.
     """
     n, m = S.shape[1], T.shape[1]
-    i0, j0, mass, *_ = _coupling(n, m)
-    if cells is None:
-        cells = np.empty((2, S.shape[0], mass.size))
+    i0, j0, *_ = _coupling(n, m)
     costs, scratch = cells
     if n == m:
         np.subtract(S, T, out=costs)
@@ -203,8 +200,7 @@ def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float,
         S.take(i0, axis=1, out=costs, mode="clip")
         costs -= T.take(j0, axis=1, out=scratch, mode="clip")
     _pow_cost(costs, p)
-    out = np.multiply(costs, mass if masses is None else masses,
-                      out=scratch).sum(axis=1, out=out)
+    np.multiply(costs, masses, out=scratch).sum(axis=1, out=out)
     if n != m:
         # over the whole raveled layer: the last difference of each row
         # straddles two rows and is never read
@@ -228,21 +224,17 @@ def potential_values(s: SortedProjection, t: SortedProjection,
         return _finite(np.concatenate(([0.0], np.cumsum(steps))))
 
 
-def potential_values_batch(S: np.ndarray, T: np.ndarray, p: float,
-                           out: np.ndarray | None = None,
-                           upper: np.ndarray | None = None,
-                           cells: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise potentials for stacks of pre-sorted samples.
+def potential_values_batch(S: np.ndarray, T: np.ndarray, p: float, out: np.ndarray,
+                           upper: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Row-wise potentials for stacks of pre-sorted samples, into ``out``.
 
     ``S`` is (k, n) and ``T`` is (k, m), each row sorted and C-ordered, and
-    ``p`` is as for ``wasserstein_pp_batch``. Returns the (k, n) matrix of
-    phi values at the sorted source points, row by row, written into
-    ``out`` if given, which must be C-ordered; ``upper``, if given, is a
-    scratch array of k gcd(n, m) - 1 entries. ``cells`` is the (2, k, c)
-    array that ``wasserstein_pp_batch`` leaves for (S, T) or for (T, S),
-    built here if not given: the two orders have the same cells in the same
-    order, and |x - y|^p has the bits of |y - x|^p. None of them changes a
-    bit.
+    ``p`` is as for ``wasserstein_pp_batch``. ``out``, C-ordered (k, n),
+    receives the phi values at the sorted source points, row by row, and is
+    returned; ``upper`` is a scratch array of k gcd(n, m) - 1 entries.
+    ``cells`` is the (2, k, c) array that ``wasserstein_pp_batch`` leaves
+    for (S, T) or for (T, S): the two orders have the same cells in the
+    same order, and |x - y|^p has the bits of |y - x|^p.
 
     A step's lower cost h(s_(i) - t_(r(i))) is source rank i's last cell,
     and its upper cost h(s_(i+1) - t_(r(i))) is the next cell unless the
@@ -258,18 +250,12 @@ def potential_values_batch(S: np.ndarray, T: np.ndarray, p: float,
     in blocks of any height; it keeps them cache-sized.
     """
     n, m = S.shape[1], T.shape[1]
-    coupling = _coupling(n, m)
-    if cells is None:
-        cells = np.empty((2, S.shape[0], coupling.mass.size))
-        wasserstein_pp_batch(S, T, p, cells=cells)
-    if out is None:
-        out = np.empty(S.shape)
     g = math.gcd(n, m)
     a, b = n // g, m // g
     if n != m:
         # ``take`` gathers in C order; a fancy index would give Fortran
         # order. ``lasts`` is in range, so "clip" never clips
-        cells[1].take(coupling.lasts, axis=1, out=out, mode="clip")
+        cells[1].take(_coupling(n, m).lasts, axis=1, out=out, mode="clip")
     # over the raveled rows, so that numpy does not buffer column slices:
     # the last entry of each row straddles two rows and lands on the next
     # row's first potential, which is set below
@@ -278,68 +264,3 @@ def potential_values_batch(S: np.ndarray, T: np.ndarray, p: float,
     out[:, 0] = 0.0
     np.cumsum(out[:, 1:], axis=1, out=out[:, 1:])
     return out
-
-
-def c_conjugate(phi_at_s: np.ndarray, s: SortedProjection,
-                t_points, p: float = 2.0) -> np.ndarray:
-    """c-conjugate phi^c(t) = min_i (|s_(i) - t|^p - phi(s_(i))).
-
-    Parameters
-    ----------
-    phi_at_s : ndarray of length n
-        Potential values at the sorted source points.
-    s : SortedProjection
-        The source sample.
-    t_points : array-like
-        Query points, any order; the result matches their order.
-    p : float
-        Cost exponent, must exceed 1.
-
-    Returns
-    -------
-    ndarray of length len(t_points)
-
-    Any convex cost h(s - t) is submodular in (rank, point), so the minimizing
-    source rank is nondecreasing along sorted queries regardless of the phi
-    vector. Solving the middle query by a full scan of its bracket and
-    recursing on the two halves evaluates the same expression as the dense
-    scan while touching O((n + m) log m) entries.
-    """
-    p = _check_p(p)
-    phi_at_s = np.asarray(phi_at_s, dtype=np.float64)
-    t_points = np.asarray(t_points, dtype=np.float64)
-    if phi_at_s.shape != s.values.shape:
-        raise ValueError("phi_at_s must align with the sorted source points")
-    if t_points.ndim != 1:
-        raise ValueError("t_points must be 1-d")
-    order = np.argsort(t_points, kind="stable")
-    tq = t_points[order]
-    out = np.empty(tq.shape[0])
-    stack = [(0, tq.shape[0], 0, s.n - 1)]
-    with _quiet():
-        while stack:
-            qlo, qhi, ilo, ihi = stack.pop()
-            if qlo >= qhi:
-                continue
-            mid = (qlo + qhi) // 2
-            vals = np.abs(s.values[ilo:ihi + 1] - tq[mid]) ** p - phi_at_s[ilo:ihi + 1]
-            a = int(np.argmin(vals))
-            out[order[mid]] = vals[a]
-            a += ilo
-            stack.append((qlo, mid, ilo, a))
-            stack.append((mid + 1, qhi, a, ihi))
-    return _finite(out)
-
-
-def duality_gap(s: SortedProjection, t: SortedProjection,
-                p: float = 2.0) -> float:
-    """Primal minus dual value for the cost |s - t|^p; zero up to rounding.
-
-    Returns W_p^p(s, t) - [mean(phi(s_i)) + mean(phi^c(t_j))] where phi is
-    the constructed potential. The magnitude should not exceed about
-    1e-9 * (1 + W_p^p) on well-scaled data.
-    """
-    phi = potential_values(s, t, p)
-    with _quiet():
-        dual = float(np.mean(phi)) + float(np.mean(c_conjugate(phi, s, t.values, p)))
-        return _finite(wasserstein_pp(s, t, p) - dual)

@@ -12,16 +12,15 @@ import time
 
 import numpy as np
 import pytest
-from potential_reference import potential_rows
+from potential_reference import c_conjugate, duality_gap, potential_rows, v_hat_sq
 
 from swinfer.distributions import (GaussianSpec, gaussian_quantile_density,
                                    gaussian_sw2_meanshift, j_alpha,
                                    sample_gaussian, uniform_quantile_density)
-from swinfer.estimators import sliced_estimate, v_hat_sq, w_hat_sq
+from swinfer.estimators import sliced_estimate, w_hat_sq
 from swinfer.geometry import sample_directions
 from swinfer.inference import analyze
-from swinfer.ot1d import (c_conjugate, duality_gap, potential_values,
-                          sort_projection, wasserstein_pp)
+from swinfer.ot1d import potential_values, sort_projection, wasserstein_pp
 from swinfer.sim import SimulationPlan, run_plan
 
 # substream ids used by these tests only; the package itself never goes

@@ -11,7 +11,6 @@ pass allocates, and that a kept set gives the bits of a fresh one.
 """
 
 import itertools
-import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -20,10 +19,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from potential_reference import row_assignment
+from potential_reference import kernel_buffers, row_assignment, v_hat_sq
 from swinfer import estimators, inference, ot1d
 from swinfer.estimators import _BLOCK_BYTES, _CHUNK, _PANEL_BYTES, _direction_pass
-from swinfer.geometry import DirectionSet, as_sample_matrix
+from swinfer.geometry import DirectionSet, SampleMatrix
 from swinfer.ot1d import (_coupling, potential_values_batch, sort_projection,
                           wasserstein_pp, wasserstein_pp_batch)
 
@@ -122,7 +121,7 @@ def tie_heavy_sample(rng, n, d):
     base[half:] = base[rng.integers(0, half, n - half)]
     zeros = rng.random((n, d)) < 0.15
     base[zeros] = np.where(rng.random((n, d)) < 0.5, 0.0, -0.0)[zeros]
-    return as_sample_matrix(base)
+    return SampleMatrix(base)
 
 
 def tie_heavy_directions(rng, d, k):
@@ -140,7 +139,8 @@ def test_cost_kernel_matches_reference_bitwise(n, m, p):
     S = sorted_stack(rng, block_rows(n, m), n, 1)
     T = sorted_stack(rng, block_rows(n, m), m, 0)
     S0, T0 = S.copy(), T.copy()
-    got = wasserstein_pp_batch(S, T, p)
+    buf = kernel_buffers(n, m, len(S))
+    got = wasserstein_pp_batch(S, T, p, buf.costs, buf.cells, buf.masses)
     assert_array_equal(S, S0)
     assert_array_equal(T, T0)
     assert_same_bits(got, reference_cost(S, T, p))
@@ -152,7 +152,9 @@ def test_potential_kernel_matches_reference_bitwise(n, m, p):
     S = sorted_stack(rng, block_rows(n, m), n, 0)
     T = sorted_stack(rng, block_rows(n, m), m, 1)
     S0, T0 = S.copy(), T.copy()
-    got = potential_values_batch(S, T, p)
+    buf = kernel_buffers(n, m, len(S))
+    wasserstein_pp_batch(S, T, p, buf.costs, buf.cells, buf.masses)
+    got = potential_values_batch(S, T, p, buf.phi_s, buf.upper, buf.cells)
     assert_array_equal(S, S0)
     assert_array_equal(T, T0)
     assert_same_bits(got, reference_potentials(S, T, p))
@@ -166,14 +168,11 @@ def test_shared_cells_give_the_cost_and_both_potentials(n, m, p):
     rng = np.random.default_rng(1000 * n + m + 13)
     S = sorted_stack(rng, rows, n, 1)
     T = sorted_stack(rng, rows, m, 0)
-    cells = np.full((2, rows, _coupling(n, m).mass.size), np.nan)
-    costs = np.full(rows, np.nan)
-    wasserstein_pp_batch(S, T, p, out=costs, cells=cells)
-    assert_same_bits(costs, reference_cost(S, T, p))
-    upper = np.full(rows * math.gcd(n, m) - 1, np.nan)
-    for s, t in ((S, T), (T, S)):
-        phi = np.full(s.shape, np.nan)
-        potential_values_batch(s, t, p, out=phi, upper=upper, cells=cells)
+    buf = kernel_buffers(n, m, rows)
+    wasserstein_pp_batch(S, T, p, buf.costs, buf.cells, buf.masses)
+    assert_same_bits(buf.costs, reference_cost(S, T, p))
+    for s, t, phi in ((S, T, buf.phi_s), (T, S, buf.phi_t)):
+        potential_values_batch(s, t, p, phi, buf.upper, buf.cells)
         assert_same_bits(phi, reference_potentials(s, t, p))
 
 
@@ -183,8 +182,8 @@ def block_rows(n, m):
 
 
 def random_pass_inputs(rng, n, m, d, k):
-    X = as_sample_matrix(np.round(rng.normal(0.0, 1.0, (n, d)), 1))
-    Y = as_sample_matrix(np.round(rng.normal(0.5, 2.0, (m, d)), 1))
+    X = SampleMatrix(np.round(rng.normal(0.0, 1.0, (n, d)), 1))
+    Y = SampleMatrix(np.round(rng.normal(0.5, 2.0, (m, d)), 1))
     z = rng.normal(size=(k, d))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return X, Y, DirectionSet(dirs=z, k=k, seed=0, stream_id=0)
@@ -351,8 +350,8 @@ def line_pass_inputs(x, y, k=6):
     """1-d samples seen along +1 and -1, so the projections are the data
     and their negations, exactly."""
     rows = np.resize([[1.0], [-1.0]], (k, 1))
-    return (as_sample_matrix(np.asarray(x)[:, None]),
-            as_sample_matrix(np.asarray(y)[:, None]),
+    return (SampleMatrix(np.asarray(x)[:, None]),
+            SampleMatrix(np.asarray(y)[:, None]),
             DirectionSet(dirs=rows, k=k, seed=0, stream_id=0))
 
 
@@ -387,15 +386,15 @@ def test_key_sort_all_equal_rows(p, fallbacks):
     assert fallbacks() == 0
 
 
-@pytest.mark.parametrize("entry", [estimators.sliced_estimate, estimators.v_hat_sq,
+@pytest.mark.parametrize("entry", [estimators.sliced_estimate, v_hat_sq,
                                    inference.analyze], ids=lambda f: f.__name__)
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_overflowing_projection_raises(sign, entry):
     """A finite point whose projection overflows to inf, keyed with index 1,
-    is a NaN key; every public path through the pass must still see the
-    infinite cost."""
-    X = as_sample_matrix(np.array([[0.0, 0.0], [1.5e308, 1.5e308]]) * sign)
-    Y = as_sample_matrix(np.zeros((2, 2)))
+    is a NaN key; every path through the pass must still see the infinite
+    cost."""
+    X = SampleMatrix(np.array([[0.0, 0.0], [1.5e308, 1.5e308]]) * sign)
+    Y = SampleMatrix(np.zeros((2, 2)))
     dirs = DirectionSet(dirs=np.array([[0.6, 0.8]] * 2), k=2, seed=0, stream_id=0)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="overflows float64.*rescale"):

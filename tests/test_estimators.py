@@ -1,19 +1,18 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from potential_reference import potential_rows
+from potential_reference import potential_rows, v_hat_sq
 
 from swinfer import estimators
-from swinfer.estimators import (SlicedEstimate, combined_variance,
-                                sliced_estimate, v_hat_sq, w_hat_sq)
-from swinfer.geometry import as_sample_matrix, sample_directions
+from swinfer.estimators import SlicedEstimate, combined_variance, sliced_estimate, w_hat_sq
+from swinfer.geometry import SampleMatrix, sample_directions
 from swinfer.ot1d import sort_projection, wasserstein_pp
 
 
 def make_pair(seed, n=40, m=30, d=4, shift=0.7):
     rng = np.random.default_rng(seed)
-    X = as_sample_matrix(rng.normal(0, 1, (n, d)))
-    Y = as_sample_matrix(rng.normal(shift, 1, (m, d)))
+    X = SampleMatrix(rng.normal(0, 1, (n, d)))
+    Y = SampleMatrix(rng.normal(shift, 1, (m, d)))
     return X, Y
 
 
@@ -45,8 +44,8 @@ def test_estimate_d1_reduces_to_raw_cost():
     rng = np.random.default_rng(9)
     x = rng.normal(size=25)
     y = rng.normal(1, 1, size=35)
-    X = as_sample_matrix(x[:, None])
-    Y = as_sample_matrix(y[:, None])
+    X = SampleMatrix(x[:, None])
+    Y = SampleMatrix(y[:, None])
     raw = wasserstein_pp(sort_projection(x), sort_projection(y), 2.0)
     for k in (2, 7):
         est = sliced_estimate(X, Y, sample_directions(1, k, seed=k))
@@ -57,8 +56,8 @@ def test_estimate_invariant_to_row_permutation():
     X, Y = make_pair(3)
     dirs = sample_directions(4, 12, seed=8)
     rng = np.random.default_rng(4)
-    Xp = as_sample_matrix(X.data[rng.permutation(X.n)])
-    Yp = as_sample_matrix(Y.data[rng.permutation(Y.n)])
+    Xp = SampleMatrix(X.data[rng.permutation(X.n)])
+    Yp = SampleMatrix(Y.data[rng.permutation(Y.n)])
     a = sliced_estimate(X, Y, dirs)
     b = sliced_estimate(Xp, Yp, dirs)
     assert_array_equal(a.per_direction, b.per_direction)
@@ -66,8 +65,8 @@ def test_estimate_invariant_to_row_permutation():
 
 def test_estimate_threads_do_not_change_result():
     rng = np.random.default_rng(44)
-    X = as_sample_matrix(rng.normal(size=(150, 3)))
-    Y = as_sample_matrix(rng.normal(0.3, 1, size=(110, 3)))
+    X = SampleMatrix(rng.normal(size=(150, 3)))
+    Y = SampleMatrix(rng.normal(0.3, 1, size=(110, 3)))
     dirs = sample_directions(3, 1200, seed=10)  # spans multiple chunks
     a = sliced_estimate(X, Y, dirs, threads=1)
     b = sliced_estimate(X, Y, dirs, threads=6)
@@ -202,8 +201,8 @@ def test_v_hat_sq_d1_location_shift():
     # slope -2 mu, so the population value is 4 mu^2 = 4
     rng = np.random.default_rng(15)
     n = 4000
-    X = as_sample_matrix(rng.normal(0, 1, (n, 1)))
-    Y = as_sample_matrix(rng.normal(1, 1, (n, 1)))
+    X = SampleMatrix(rng.normal(0, 1, (n, 1)))
+    Y = SampleMatrix(rng.normal(1, 1, (n, 1)))
     dirs = sample_directions(1, 2, seed=16)
     got = v_hat_sq(X, Y, dirs)
     assert 3.3 <= got <= 4.7

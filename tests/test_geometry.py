@@ -3,8 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from swinfer import _rng
-from swinfer.geometry import (DirectionSet, SampleMatrix, as_sample_matrix,
-                              sample_directions)
+from swinfer.geometry import DirectionSet, SampleMatrix, sample_directions
 
 
 def test_sample_matrix_validation():
@@ -16,7 +15,7 @@ def test_sample_matrix_validation():
         SampleMatrix(np.zeros((3, 0)))
     with pytest.raises(ValueError):
         SampleMatrix(np.array([[0.0, np.nan], [1.0, 2.0]]))
-    sm = as_sample_matrix([[1, 2], [3, 4], [5, 6]])
+    sm = SampleMatrix([[1, 2], [3, 4], [5, 6]])
     assert (sm.n, sm.d) == (3, 2)
 
 

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from potential_reference import v_hat_sq
 from swinfer import estimators, inference
-from swinfer.estimators import (SlicedEstimate, combined_variance, sliced_estimate,
-                                v_hat_sq, w_hat_sq)
-from swinfer.geometry import DirectionSet, as_sample_matrix, sample_directions
+from swinfer.estimators import SlicedEstimate, combined_variance, sliced_estimate, w_hat_sq
+from swinfer.geometry import DirectionSet, SampleMatrix, sample_directions
 from swinfer.inference import (DegenerateVarianceError, analyze,
                                confidence_interval, effective_rate,
                                two_sided_pvalue)
@@ -17,8 +17,8 @@ Z_975 = 1.959963984540054
 
 def gaussian_pair(seed, n=80, m=60, d=3, shift=0.5):
     rng = np.random.default_rng(seed)
-    X = as_sample_matrix(rng.normal(0, 1, (n, d)))
-    Y = as_sample_matrix(rng.normal(shift, 1, (m, d)))
+    X = SampleMatrix(rng.normal(0, 1, (n, d)))
+    Y = SampleMatrix(rng.normal(shift, 1, (m, d)))
     return X, Y
 
 
@@ -164,8 +164,8 @@ def test_analyze_rejects_exactly_the_nulls_outside_its_interval():
 
 def test_analyze_threads_bitwise_identical():
     rng = np.random.default_rng(3)
-    X = as_sample_matrix(rng.normal(size=(60, 3)))
-    Y = as_sample_matrix(rng.normal(0.2, 1, size=(50, 3)))
+    X = SampleMatrix(rng.normal(size=(60, 3)))
+    Y = SampleMatrix(rng.normal(0.2, 1, size=(50, 3)))
     dirs = sample_directions(3, 1100, seed=4)  # crosses chunk boundaries
     a = analyze(X, Y, dirs, threads=1)
     b = analyze(X, Y, dirs, threads=4)
@@ -176,7 +176,7 @@ def test_analyze_threads_bitwise_identical():
 
 def test_analyze_refuses_a_worker_bound_below_one():
     rng = np.random.default_rng(5)
-    X = as_sample_matrix(rng.normal(size=(20, 2)))
+    X = SampleMatrix(rng.normal(size=(20, 2)))
     dirs = sample_directions(2, 8, seed=1)
     with pytest.raises(ValueError, match="threads must be positive, got 0"):
         analyze(X, X, dirs, threads=0)
@@ -234,8 +234,8 @@ def test_analyze_blends_at_every_exponent():
 
 
 def test_analyze_degenerate_data_raises():
-    X = as_sample_matrix(np.zeros((5, 2)))
-    Y = as_sample_matrix(np.zeros((6, 2)))
+    X = SampleMatrix(np.zeros((5, 2)))
+    Y = SampleMatrix(np.zeros((6, 2)))
     dirs = sample_directions(2, 3, seed=11)
     with pytest.raises(DegenerateVarianceError):
         analyze(X, Y, dirs, delta=0.5)
@@ -244,8 +244,8 @@ def test_analyze_degenerate_data_raises():
 def test_overflowing_costs_raise():
     """Finite samples near the float64 limit, whose projected costs overflow."""
     rng = np.random.default_rng(31)
-    X = as_sample_matrix(rng.normal(0.0, 1.0, (60, 3)) * 1e307)
-    Y = as_sample_matrix(rng.normal(0.0, 1.0, (50, 3)) * 1e307)
+    X = SampleMatrix(rng.normal(0.0, 1.0, (60, 3)) * 1e307)
+    Y = SampleMatrix(rng.normal(0.0, 1.0, (50, 3)) * 1e307)
     dirs = sample_directions(3, 16, seed=12)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="overflows float64.*rescale"):
@@ -260,12 +260,12 @@ def test_overflowing_projection_raises():
     rng = np.random.default_rng(32)
     X = rng.normal(0.0, 1.0, (40, 2))
     X[0], X[-1] = 10.0, 1.5e308
-    Y = as_sample_matrix(rng.normal(0.0, 1.0, (30, 2)))
+    Y = SampleMatrix(rng.normal(0.0, 1.0, (30, 2)))
     dirs = DirectionSet(dirs=np.resize([[0.6, 0.8], [0.8, 0.6]], (8, 2)), k=8,
                         seed=0, stream_id=0)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="overflows float64.*rescale"):
-            analyze(as_sample_matrix(X), Y, dirs, p=1.5)
+            analyze(SampleMatrix(X), Y, dirs, p=1.5)
 
 
 OVERFLOWING_POTENTIALS = np.array([[0.0], [1e200], [3.0]])
@@ -274,7 +274,7 @@ OVERFLOWING_POTENTIALS = np.array([[0.0], [1e200], [3.0]])
 def test_overflowing_potentials_raise():
     """Equal samples give zero costs, but the potential steps |1e200 - 3|^2
     overflow, and inf - inf leaves NaN potentials."""
-    X = as_sample_matrix(OVERFLOWING_POTENTIALS)
+    X = SampleMatrix(OVERFLOWING_POTENTIALS)
     dirs = sample_directions(1, 4, seed=13)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="overflows float64.*rescale"):
@@ -287,7 +287,7 @@ def test_overflowing_potentials_raise_in_every_estimator(entry):
     """The data above raise in the estimators as in ``analyze``, and as the
     CLI exits 2 on them (``test_cli::test_overflowing_potentials_exit_2``):
     ``sliced_estimate`` too, whose costs alone are finite."""
-    X = as_sample_matrix(OVERFLOWING_POTENTIALS)
+    X = SampleMatrix(OVERFLOWING_POTENTIALS)
     dirs = sample_directions(1, 4, seed=13)
     with np.errstate(all="ignore"):
         with pytest.raises(ValueError, match="overflows float64.*rescale"):
@@ -297,8 +297,8 @@ def test_overflowing_potentials_raise_in_every_estimator(entry):
 def test_overflowing_mean_raises():
     """Finite per-direction costs of 8.45e307 whose mean overflows; no
     ``np.errstate`` here, so a RuntimeWarning would fail the test."""
-    X = as_sample_matrix(np.array([[0.0], [1.3e154]]))
-    Y = as_sample_matrix(np.zeros((2, 1)))
+    X = SampleMatrix(np.array([[0.0], [1.3e154]]))
+    Y = SampleMatrix(np.zeros((2, 1)))
     with pytest.raises(ValueError, match="overflows float64.*rescale"):
         sliced_estimate(X, Y, sample_directions(1, 4, seed=14))
 
@@ -306,8 +306,8 @@ def test_overflowing_mean_raises():
 def test_overflowing_variances_raise():
     """Finite costs (3.3e199) and potentials (5e199) whose variances
     overflow; no ``np.errstate`` here either."""
-    X = as_sample_matrix(np.array([[0.0], [1e100], [3.0]]))
-    Y = as_sample_matrix(np.array([[0.0], [1.0], [2.0]]))
+    X = SampleMatrix(np.array([[0.0], [1e100], [3.0]]))
+    Y = SampleMatrix(np.array([[0.0], [1.0], [2.0]]))
     dirs = sample_directions(1, 4, seed=15)
     with pytest.raises(ValueError, match="overflows float64.*rescale"):
         analyze(X, Y, dirs)

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from swinfer.estimators import _CHUNK, sliced_estimate
-from swinfer.geometry import as_sample_matrix, sample_directions
+from swinfer.geometry import SampleMatrix, sample_directions
 from swinfer.inference import DegenerateVarianceError, analyze
 
 
@@ -41,7 +41,7 @@ def draw_pair(seed, n, m, d, decimals):
     Y = rng.normal(0.5, 2.0, (m, d))
     if decimals is not None:
         X, Y = np.round(X, decimals), np.round(Y, decimals)
-    return as_sample_matrix(X), as_sample_matrix(Y)
+    return SampleMatrix(X), SampleMatrix(Y)
 
 
 @st.composite
@@ -99,7 +99,7 @@ def test_scaling_multiplies_estimate_by_a_to_the_p(nm, d, k, seed, p, a):
     # a null half the estimate keeps estimate - delta clear of cancellation
     delta = 0.5 * sliced_estimate(X, Y, dirs, p=p).sw_pp
     base = analyze(X, Y, dirs, p=p, delta=delta)
-    scaled = analyze(as_sample_matrix(a * X.data), as_sample_matrix(a * Y.data),
+    scaled = analyze(SampleMatrix(a * X.data), SampleMatrix(a * Y.data),
                      dirs, p=p, delta=delta * a ** p)
     want = (base.estimate * a ** p, base.statistic,
             base.variance.v_hat_pq_sq * a ** (2 * p),
@@ -122,8 +122,8 @@ def test_common_translation_changes_nothing(nm, d, k, seed, p, offset):
     shift *= offset / np.linalg.norm(shift)
     delta = 0.5 * sliced_estimate(X, Y, dirs, p=p).sw_pp
     base = analyze(X, Y, dirs, p=p, delta=delta)
-    moved = analyze(as_sample_matrix(X.data + shift),
-                    as_sample_matrix(Y.data + shift), dirs, p=p, delta=delta)
+    moved = analyze(SampleMatrix(X.data + shift),
+                    SampleMatrix(Y.data + shift), dirs, p=p, delta=delta)
     assert_allclose(outputs(moved), outputs(base), rtol=1e-9, atol=0)
 
 
@@ -135,7 +135,7 @@ def discrete_sample(rng, n, d, column):
     rows = pool[rng.integers(0, distinct, n)]
     rows[:, column] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
     rows[0, column], rows[-1, column] = 0.0, -0.0
-    return as_sample_matrix(rows)
+    return SampleMatrix(rows)
 
 
 def one_point(sample):

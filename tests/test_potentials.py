@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from potential_reference import row_assignment
-from swinfer.ot1d import (_coupling, c_conjugate, duality_gap, potential_values,
-                          potential_values_batch, sort_projection, wasserstein_pp)
+from potential_reference import c_conjugate, duality_gap, kernel_buffers, row_assignment
+from swinfer.ot1d import (_coupling, potential_values, potential_values_batch,
+                          sort_projection, wasserstein_pp, wasserstein_pp_batch)
 
 
 def c_conjugate_brute(phi_at_s, svals, t_points, p=2.0):
@@ -91,7 +91,9 @@ def test_batch_matches_scalar_path():
     S = np.sort(rng.normal(size=(6, 17)), axis=1)
     T = np.sort(rng.normal(size=(6, 11)), axis=1)
     for p in (1.5, 2.0, 3.0):
-        batch = potential_values_batch(S, T, p)
+        buf = kernel_buffers(17, 11, 6)
+        wasserstein_pp_batch(S, T, p, buf.costs, buf.cells, buf.masses)
+        batch = potential_values_batch(S, T, p, buf.phi_s, buf.upper, buf.cells)
         for row in range(6):
             single = potential_values(sort_projection(S[row]),
                                       sort_projection(T[row]), p)
