@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,13 +77,16 @@ class _Side:
     """One sample's sorted block in a thread's working set: the sort keys,
     which end as the permutation, the sorted rows and their sortedness
     flags, each of its exact width, so that a block's rows are a
-    contiguous prefix. Each row's column indices, and the offsets that
-    turn them into indices of the raveled block, are full tables: numpy
-    buffers an operand broadcast over short rows, allocating as it goes."""
+    contiguous prefix, and each row's column indices. A multi-row block
+    keeps the indices, and the offsets that turn them into indices of the
+    raveled block, as full tables: numpy buffers an operand broadcast over
+    short rows, allocating as it goes. A one-row block keeps one row of
+    indices and no offsets: its only offset is 0."""
 
     def __init__(self, rows: int, n: int):
         self.index = np.tile(np.arange(n), (rows, 1))
-        self.offsets = np.repeat(np.arange(rows) * n, n).reshape(rows, n)
+        self.offsets = (np.repeat(np.arange(rows) * n, n).reshape(rows, n)
+                        if rows > 1 else None)
         self.order = np.empty((rows, n), dtype=np.int64)
         self.values = np.empty((rows, n))
         self.ordered = np.empty((rows, n), dtype=bool)
@@ -91,15 +95,16 @@ class _Side:
 class _WorkingSet:
     """A thread's buffers for ``_pass_chunk``, sized by ``key`` = (n, m,
     panel height, block rows): one projection panel per sample, both
-    samples' ``_Side`` buffers, the cell masses repeated on every block row
-    and the arena of the block stages."""
+    samples' ``_Side`` buffers, the cell masses on every block row and the
+    arena of the block stages. A one-row block reads the coupling's own
+    mass row, as a product with one row is not buffered."""
 
     def __init__(self, key):
         n, m, height, rows = self.key = key
         self.panel_x, self.panel_y = np.empty((height, n)), np.empty((height, m))
         self.side_x, self.side_y = _Side(rows, n), _Side(rows, m)
         mass = _coupling(n, m).mass
-        self.masses = np.tile(mass, (rows, 1))
+        self.masses = np.tile(mass, (rows, 1)) if rows > 1 else mass[np.newaxis]
         # the cell costs and their differences, then one sample's potentials
         # and computed upper costs; the gather's flat indices fit in front
         self.arena = np.empty(rows * (2 * mass.size + max(n, m) + math.gcd(n, m)))
@@ -131,7 +136,13 @@ def _sorted_order(block: np.ndarray, side: _Side, arena: np.ndarray):
     buffers, with ``arena`` as scratch; see ``_pass_chunk``."""
     rows, n = block.shape
     order, s = side.order[:rows], side.values[:rows]
-    flat = _carve(arena, (rows, n)).view(np.int64)
+
+    def gather():
+        # by indices of the raveled block: a one-row block's are ``order``
+        flat = order if side.offsets is None else np.add(
+            order, side.offsets[:rows], out=_carve(arena, (rows, n)).view(np.int64))
+        block.ravel().take(flat, out=s, mode="clip")
+
     low = (1 << max(1, (n - 1).bit_length())) - 1
     np.bitwise_and(block.view(np.int64), ~low, out=order)
     order |= side.index[:rows]
@@ -140,8 +151,7 @@ def _sorted_order(block: np.ndarray, side: _Side, arena: np.ndarray):
     order &= low
     # an index read off a NaN key may point anywhere, but then ``nan`` sends
     # the block to the argsort; every other index is in range
-    block.ravel().take(np.add(order, side.offsets[:rows], out=flat), out=s,
-                       mode="clip")
+    gather()
     # compared over the raveled rows, as numpy buffers a comparison of
     # column slices; each row's last flag compares two rows, and is set
     ordered, run = side.ordered[:rows], s.ravel()
@@ -149,8 +159,7 @@ def _sorted_order(block: np.ndarray, side: _Side, arena: np.ndarray):
     ordered[:, -1] = True
     if nan or not ordered.all():
         order[...] = np.argsort(block, axis=1)
-        block.ravel().take(np.add(order, side.offsets[:rows], out=flat), out=s,
-                           mode="clip")
+        gather()
     return s, order
 
 
@@ -166,21 +175,25 @@ def _pass_chunk(X: SampleMatrix, Y: SampleMatrix, dir_rows: np.ndarray, p: float
     sorts, gathers, costs, potentials and scatter stay in cache; no block
     straddles two panels. Every buffer lives in the thread's working set
     (``_WorkingSet``) and is written through ``out=``: the two panels, each
-    sample's sort keys, sorted rows, sortedness flags and index tables
+    sample's sort keys, sorted rows, sortedness flags and column indices
     (``_Side``), the cell masses on every block row, and one arena that the
     block's stages take in turn, for the gathers' flat indices, the cell
     costs and their differences, and each sample's potentials and computed
     upper costs. The cost kernel leaves the cells there and both samples'
-    potentials read them (see ``potential_values_batch``).
+    potentials read them (see ``potential_values_batch``). A one-row block
+    (n + m > ``_BLOCK_BYTES // 16``) gathers by its permutation itself and
+    reads the coupling's own mass row, so it keeps no offsets and no mass
+    copy.
 
     A thread builds its working set on its first block, keyed by (n, m,
     panel height, block rows), and holds it until its next pass with
     another key, which replaces it: one set per thread. The buffers are
     sized for a full chunk, so the key is fixed by (n, m) and the byte
     constants, whatever k, and a pass's chunks share one set: about 5.0 MiB
-    at 500/300, 5.6 MiB at 4000/4000 and 9.2 MiB at 60000/36000. So a
-    repeat pass at one shape, such as each replication of a ``simulate``
-    cell, allocates no block-sized array and faults no page in again.
+    at 500/300 (40-row blocks), 5.6 MiB at 4000/4000 (4-row blocks) and
+    7.8 MiB at 60000/36000 (one-row blocks). So a repeat pass at one shape,
+    such as each replication of a ``simulate`` cell, allocates no
+    block-sized array and faults no page in again.
 
     ``_sorted_order`` gets each row's permutation from a value sort,
     several times faster than an argsort. With b = max(1, bit length of
@@ -255,13 +268,14 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
     the same sums before numpy 1.25, only several times slower). Chunk
     boundaries are fixed by ``_CHUNK`` alone and panel boundaries by
     ``_CHUNK`` and (n, m) alone, and chunk results are added in chunk order
-    as they arrive, so the output does not depend on the worker count.
-    Each worker thread holds one working set (see ``_pass_chunk``), so
-    memory grows with (n, m) and the worker count, not with k. A pass of
-    one chunk, or with one thread, runs on the calling thread, which keeps
-    its set until its next pass at another shape; a pool's threads end
-    with the pass, and their sets with them. In every block the cost
-    kernel builds the cell costs once and both potentials read them.
+    as they arrive, into the first chunk's sums, so the output does not
+    depend on the worker count. Each worker thread holds one working set
+    (see ``_pass_chunk``), so memory grows with (n, m) and the worker
+    count, not with k. A pass of one chunk, or with one thread, runs on
+    the calling thread and builds no pool; that thread keeps its set until
+    its next pass at another shape. A pool's threads end with the pass,
+    and their sets with them. In every block the cost kernel builds the
+    cell costs once and both potentials read them.
     """
     _check_threads(threads)
     p = _check_p(p)
@@ -277,10 +291,15 @@ def _direction_pass(X: SampleMatrix, Y: SampleMatrix, dirs: DirectionSet, p: flo
             return _pass_chunk(X, Y, dirs.dirs[lo:lo + _CHUNK], p,
                                per_direction[lo:lo + _CHUNK])
 
-    g_x, g_y = np.zeros(X.n), np.zeros(Y.n)
-    with ThreadPoolExecutor(max_workers=threads) as pool, _quiet():
-        parts = (pool.map(work, starts) if threads > 1 and len(starts) > 1
-                 else map(work, starts))
+    with ExitStack() as stack, _quiet():
+        if threads > 1 and len(starts) > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=threads))
+            parts = pool.map(work, starts)
+        else:
+            parts = map(work, starts)
+        # the first chunk's sums are the running sums: no sum is -0.0, so
+        # adding them to zeros would change no bit
+        g_x, g_y = next(parts)
         for gx_sum, gy_sum in parts:
             g_x += gx_sum
             g_y += gy_sum

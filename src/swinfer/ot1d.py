@@ -175,7 +175,9 @@ def wasserstein_pp_batch(S: np.ndarray, T: np.ndarray, p: float, out: np.ndarray
     (2, k, c) array, c the number of coupling cells, and ``masses`` the
     cells' masses repeated on each of the k rows, C-ordered, as numpy
     buffers a product with one row broadcast over short rows, allocating as
-    it goes. The direction pass keeps all three in its working set.
+    it goes; for k = 1 it may be the coupling's own mass row. The direction
+    pass keeps ``cells`` in its working set, and ``masses`` too unless a
+    block has one row.
 
     The kernel leaves in ``cells`` what the potentials of both samples read
     (see ``potential_values_batch``): the first layer holds the unweighted

@@ -11,6 +11,7 @@ pass allocates, and that a kept set gives the bits of a fresh one.
 """
 
 import itertools
+import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -453,6 +454,48 @@ def test_repeat_pass_allocates_nothing_block_sized():
 
     peak = on_fresh_thread(repeat_peak)
     assert peak < 64 * 1024, peak
+
+
+def owned_bytes(held):
+    """Bytes of the writable memory that the working set's arrays, and its
+    sides' arrays, sit on, each buffer counted once: read-only coupling
+    tables that it views are not its own."""
+    sides = [v for v in vars(held).values() if isinstance(v, estimators._Side)]
+    roots = {}
+    for obj in (held, *sides):
+        for a in vars(obj).values():
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                if a.flags.writeable:
+                    roots[id(a)] = a.nbytes
+    return sum(roots.values())
+
+
+def test_one_row_blocks_hold_only_what_they_read():
+    """At one-row blocks the working set holds the two panels, each side's
+    sort keys, sorted rows, flags and one row of column indices, and the
+    arena, and nothing else: no offsets table and no tiled cell masses, as
+    the gather's indices are the permutation itself and the cost kernel
+    reads the coupling's own mass row."""
+    n, m, k = 20000, 15000, 64
+    X, Y, dirs = random_pass_inputs(np.random.default_rng(37), n, m, 3, k)
+    assert block_rows(n, m) == 1
+
+    def pass_and_set():
+        return _direction_pass(X, Y, dirs, 2.0, 1), estimators._held.set
+
+    got, held = on_fresh_thread(pass_and_set)
+    height = _PANEL_BYTES // (8 * (n + m))
+    cells = _coupling(n, m).mass.size
+    panels = 8 * height * (n + m)
+    # per point: a sort key, a sorted value, a flag and a column index
+    sides = (8 + 8 + 1 + 8) * (n + m)
+    arena = 8 * (2 * cells + max(n, m) + math.gcd(n, m))
+    assert owned_bytes(held) == panels + sides + arena
+    assert np.shares_memory(held.masses, _coupling(n, m).mass)
+    for a, b in zip((got[0].per_direction, *got[1:]), reference_pass(X, Y, dirs, 2.0)):
+        assert_same_bits(a, b)
 
 
 # 4000/4000 at k = 600 is two chunks of several panels each
